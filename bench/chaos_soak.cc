@@ -12,8 +12,7 @@
 // and a byte-identical report. `--events N` scales the schedule length,
 // `--plan` dumps the schedule, `--csv` switches to CSV. `--routers N`
 // replaces the default three-topology sweep with one ceil(sqrt(N))^2
-// grid — the scaling mode used to size the event engine —
-// `--engine wheel|legacy` selects the event engine under test,
+// grid (the scaling mode used to size the event engine),
 // `--routing lazy|eager` selects the unicast-routing recompute strategy
 // (the eager fallback exists for the routing differential cross-check),
 // and `--dataplane fast|slow` selects the forwarding path (the slow
@@ -36,7 +35,6 @@
 #include "check/expectation.h"
 #include "check/trace_view.h"
 #include "netsim/chaos.h"
-#include "netsim/event_queue.h"
 #include "netsim/topologies.h"
 
 namespace {
@@ -259,7 +257,6 @@ int main(int argc, char** argv) {
   bool dump_plan = false;
   int event_count = 100;
   int routers = 0;  // 0 = default three-topology sweep
-  std::string engine_name = "wheel";
   std::string routing_name = "lazy";
   bool run_check = false;
   std::string check_json;
@@ -268,7 +265,6 @@ int main(int argc, char** argv) {
   opts.Int("events", &event_count, "fault events per topology");
   opts.Int("routers", &routers,
            "scaling mode: one ~N-router grid instead of the sweep");
-  opts.Str("engine", &engine_name, "event engine under test: wheel|legacy");
   opts.Str("routing", &routing_name, "unicast recompute: lazy|eager");
   opts.Flag("check", &run_check,
             "validate every failure-recovery path with the causal-path "
@@ -306,9 +302,6 @@ int main(int argc, char** argv) {
 
   const bool csv = opts.csv;
   const std::uint64_t seed = opts.seed;
-  const netsim::EventQueue::Engine engine =
-      engine_name == "legacy" ? netsim::EventQueue::Engine::kLegacyHeap
-                              : netsim::EventQueue::Engine::kTimerWheel;
   const routing::RouteManager::Mode routing_mode =
       routing_name == "eager" ? routing::RouteManager::Mode::kEager
                               : routing::RouteManager::Mode::kLazy;
@@ -374,7 +367,7 @@ int main(int argc, char** argv) {
             const int side = std::max(
                 2, static_cast<int>(
                        std::ceil(std::sqrt(static_cast<double>(routers)))));
-            netsim::Simulator sim(1, engine);
+            netsim::Simulator sim(1);
             netsim::Topology topo = netsim::MakeGrid(sim, side, side);
             const std::size_t n = topo.router_lans.size();
             MemberPlan members{{0, n / 3, (2 * n) / 3, n - 1},
@@ -386,7 +379,7 @@ int main(int argc, char** argv) {
                 ctx.out);
           }
           case Topo::kGrid4x4: {
-            netsim::Simulator sim(1, engine);
+            netsim::Simulator sim(1);
             netsim::Topology topo = netsim::MakeGrid(sim, 4, 4);
             MemberPlan members{{3, 5, 10, 12},
                                {topo.routers[0], topo.routers[15]}};
@@ -395,7 +388,7 @@ int main(int argc, char** argv) {
                            dataplane, run_check, opts.shards, ctx.out);
           }
           case Topo::kWaxman20: {
-            netsim::Simulator sim(1, engine);
+            netsim::Simulator sim(1);
             netsim::WaxmanParams wp;
             wp.n = 20;
             wp.seed = 7;
@@ -408,7 +401,7 @@ int main(int argc, char** argv) {
           }
           case Topo::kTransitStub:
           default: {
-            netsim::Simulator sim(1, engine);
+            netsim::Simulator sim(1);
             netsim::TransitStubParams tp;
             tp.transit_nodes = 4;
             tp.stub_domains = 6;
@@ -484,7 +477,6 @@ int main(int argc, char** argv) {
     report.Param("repeat", opts.repeat);
     report.Param("events", event_count);
     report.Param("routers", routers);
-    report.Param("engine", engine_name);
     report.Param("routing", routing_name);
     report.Param("dataplane", dataplane_name);
     report.Param("check", run_check);

@@ -1,5 +1,5 @@
 // Unicast-routing microbenchmark: lazy scoped invalidation vs. the eager
-// full recompute, and the LPM index vs. the linear subnet scan.
+// full recompute, plus LPM-indexed lookup throughput.
 //
 // Three workloads on a square router grid (256 routers in full mode):
 //  * cold — first-touch cost of computing every per-source table;
@@ -9,11 +9,12 @@
 //    tables that are actually queried, so the "tables recomputed per
 //    flap" ratio is the headline number;
 //  * lookup — steady-state Lookup() throughput with the sorted-prefix LPM
-//    index + address cache against the historical per-call linear scan.
+//    index + address cache (its linear-scan oracle lives in
+//    tests/routing/route_manager_lazy_test.cc).
 //
-// Every workload folds its answers into a checksum and the post-flap /
-// lookup runs are executed under both strategies with identical seeds, so
-// the bench doubles as a lazy==eager / indexed==linear differential.
+// Every workload folds its answers into a checksum and the cold /
+// post-flap runs are executed under both strategies with identical
+// seeds, so the bench doubles as a lazy==eager differential.
 // Results go to stdout and BENCH_routing.json (--json / --out overrides;
 // --smoke shrinks sizes for the CI correctness pass).
 #include <algorithm>
@@ -135,11 +136,10 @@ RunResult RunPostFlap(RouteManager::Mode mode, int side, int flaps,
   return r;
 }
 
-RunResult RunLookup(RouteManager::LpmMode lpm, int side, std::uint64_t ops) {
+RunResult RunLookup(int side, std::uint64_t ops) {
   netsim::Simulator sim(1);
   const netsim::Topology topo = netsim::MakeGrid(sim, side, side);
   RouteManager routes(sim);
-  routes.set_lpm_mode(lpm);
   const std::size_t n = topo.routers.size();
 
   std::vector<Ipv4Address> dests;
@@ -152,8 +152,7 @@ RunResult RunLookup(RouteManager::LpmMode lpm, int side, std::uint64_t ops) {
   }
 
   RunResult r;
-  r.name = lpm == RouteManager::LpmMode::kIndexed ? "lookup_indexed"
-                                                  : "lookup_linear";
+  r.name = "lookup_indexed";
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t op = 0; op < ops; ++op) {
     const NodeId from = topo.routers[op % n];
@@ -202,10 +201,10 @@ int main(int argc, char** argv) {
             << side * side << " routers, " << flaps << " flaps x " << queried
             << " queries, " << lookups << " lookups\n";
 
-  // The six workloads are independent replicas (each builds its own
+  // The five workloads are independent replicas (each builds its own
   // simulator + grid); the reducer stores them back into the named
   // slots the report expects.
-  std::vector<RunResult> runs(6);
+  std::vector<RunResult> runs(5);
   exec_report.Add(
       "workloads",
       exec::RunSweep(
@@ -220,12 +219,7 @@ int main(int argc, char** argv) {
               case 3:
                 return RunPostFlap(RouteManager::Mode::kEager, side, flaps,
                                    queried);
-              case 4:
-                return RunLookup(RouteManager::LpmMode::kIndexed, side,
-                                 lookups);
-              default:
-                return RunLookup(RouteManager::LpmMode::kLinearScan, side,
-                                 lookups);
+              default: return RunLookup(side, lookups);
             }
           },
           [&](exec::RunContext& ctx, RunResult r) {
@@ -237,17 +231,15 @@ int main(int argc, char** argv) {
   const RunResult& flap_lazy = runs[2];
   const RunResult& flap_eager = runs[3];
   const RunResult& look_idx = runs[4];
-  const RunResult& look_lin = runs[5];
 
   for (const RunResult& r :
-       {cold_lazy, cold_eager, flap_lazy, flap_eager, look_idx, look_lin}) {
+       {cold_lazy, cold_eager, flap_lazy, flap_eager, look_idx}) {
     PrintRow(r);
   }
 
   bool deterministic = true;
   for (const auto& [a, b] : {std::pair{&cold_lazy, &cold_eager},
-                             {&flap_lazy, &flap_eager},
-                             {&look_idx, &look_lin}}) {
+                             {&flap_lazy, &flap_eager}}) {
     if (a->checksum != b->checksum) {
       deterministic = false;
       std::cout << "DIFFERENTIAL MISMATCH: " << a->name << " vs " << b->name
@@ -263,13 +255,10 @@ int main(int argc, char** argv) {
       lazy_tables_per_flap > 0 ? eager_tables_per_flap / lazy_tables_per_flap
                                : 0;
   const double flap_speedup = flap_eager.seconds / flap_lazy.seconds;
-  const double lookup_speedup = look_lin.seconds / look_idx.seconds;
   std::cout << "  post-flap tables/flap: eager " << eager_tables_per_flap
             << " vs lazy " << lazy_tables_per_flap << " => "
             << work_reduction << "x less work, " << flap_speedup
-            << "x wall time\n"
-            << "  lookup speedup (LPM vs linear scan): " << lookup_speedup
-            << "x\n";
+            << "x wall time\n";
 
   bench::JsonReporter report(opts.bench_name());
   report.Param("mode", smoke ? "smoke" : "full");
@@ -280,7 +269,7 @@ int main(int argc, char** argv) {
   auto& computed_series = report.AddSeries("tables_computed", "tables");
   auto& warm_series = report.AddSeries("tables_kept_warm", "tables");
   const RunResult* all[] = {&cold_lazy, &cold_eager, &flap_lazy,
-                            &flap_eager, &look_idx,  &look_lin};
+                            &flap_eager, &look_idx};
   for (const RunResult* r : all) {
     ops_series.Add(r->name, r->ops);
     secs_series.Add(r->name, r->seconds);
@@ -290,7 +279,6 @@ int main(int argc, char** argv) {
   auto& headline = report.AddSeries("headline", "x");
   headline.Add("post_flap_work_reduction", work_reduction);
   headline.Add("post_flap_time_speedup", flap_speedup);
-  headline.Add("lookup_speedup", lookup_speedup);
   auto& per_flap = report.AddSeries("tables_per_flap", "tables");
   per_flap.Add("eager", eager_tables_per_flap);
   per_flap.Add("lazy", lazy_tables_per_flap);

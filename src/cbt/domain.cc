@@ -108,10 +108,8 @@ void CbtDomain::ShardRoutes(int regions,
   shard_routes_.clear();
   shard_routes_.reserve(static_cast<std::size_t>(regions));
   for (int r = 0; r < regions; ++r) {
-    auto manager =
-        std::make_unique<routing::RouteManager>(*sim_, routes_.mode());
-    manager->set_lpm_mode(routes_.lpm_mode());
-    shard_routes_.push_back(std::move(manager));
+    shard_routes_.push_back(
+        std::make_unique<routing::RouteManager>(*sim_, routes_.mode()));
   }
   for (const auto& [id, router] : routers_) {
     const int r = region_of(id);

@@ -4,8 +4,8 @@
 // tie-break makes simultaneous events run in schedule order, which keeps
 // every run bit-for-bit deterministic.
 //
-// Engine design (Engine::kTimerWheel, the default)
-// ------------------------------------------------
+// Engine design
+// -------------
 // Time is bucketed into ticks of 2^kTickShift microseconds. A hierarchy
 // of kLevels wheels with 64 slots each covers the near future: an event
 // due `d` ticks ahead lives at the lowest level whose span contains it
@@ -23,19 +23,17 @@
 // found with per-level occupancy bitmaps (O(1) per level), higher-level
 // slots cascade down as the current tick advances past their span, and
 // the events of the due tick are sorted by (time, sequence) before
-// running — restoring the exact global order a single heap would give,
-// which is what keeps wheel runs byte-identical to the legacy engine.
+// running — restoring the exact global order a single heap would give.
 //
-// Engine::kLegacyHeap preserves the original priority_queue +
-// tombstone-set implementation. It is a test-only shim: the differential
-// tests and the event-engine benchmark run both engines on identical
-// workloads to prove ordering parity and measure the speedup.
+// The differential oracle is a test-only reference scheduler
+// (tests/netsim/reference_scheduler.h): a priority_queue ordered by
+// (time, insertion id), installed through Simulator::InstallShardBackend.
+// The engine differential tests replay queue-level traces and whole
+// simulations on both and require identical results.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/thread_guard.h"
@@ -51,12 +49,7 @@ constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  enum class Engine {
-    kTimerWheel,  // production engine
-    kLegacyHeap,  // pre-rebuild engine, kept for differential tests/bench
-  };
-
-  explicit EventQueue(Engine engine = Engine::kTimerWheel);
+  EventQueue();
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -66,7 +59,7 @@ class EventQueue {
 
   /// Cancels a pending event; returns false if it already ran/was
   /// cancelled. Cancellation reclaims the slot and destroys the closure
-  /// eagerly (wheel engine).
+  /// eagerly.
   bool Cancel(EventId id);
 
   /// True if no runnable (non-cancelled) events remain.
@@ -81,21 +74,16 @@ class EventQueue {
   /// Returns false if the queue was empty.
   bool RunNext(SimTime& clock);
 
-  Engine engine() const { return engine_; }
-
   // --- Accounting (memory-bound regression tests & benches) --------------
 
-  /// Wheel engine: slots ever allocated in the event slab (bounds resident
-  /// memory; reused across schedule/cancel cycles). Legacy engine: heap
-  /// entries including cancelled tombstones.
-  std::size_t slot_capacity() const;
+  /// Slots ever allocated in the event slab (bounds resident memory;
+  /// reused across schedule/cancel cycles).
+  std::size_t slot_capacity() const { return events_.size(); }
 
-  /// Events parked in the far-future overflow heap (wheel engine).
+  /// Events parked in the far-future overflow heap.
   std::size_t overflow_heap_size() const { return heap_.size(); }
 
  private:
-  // --- Wheel engine ------------------------------------------------------
-
   static constexpr int kTickShift = 10;  // 1024 us per tick
   static constexpr int kLevelBits = 6;   // 64 slots per level
   static constexpr int kSlots = 1 << kLevelBits;
@@ -154,7 +142,6 @@ class EventQueue {
   /// belongs to one replica. Debug builds abort on cross-thread use
   /// (checked at the public entry points: ScheduleAt/Cancel/RunNext).
   ThreadOwnershipGuard guard_;
-  Engine engine_;
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
 
@@ -165,26 +152,6 @@ class EventQueue {
   std::int64_t cur_tick_ = 0;
   std::vector<DueEntry> due_;
   std::size_t due_pos_ = 0;
-
-  // --- Legacy engine (test-only shim) ------------------------------------
-
-  struct LegacyEntry {
-    SimTime when;
-    EventId id;
-    mutable EventFn fn;  // moved out at pop time
-
-    // min-heap by (when, id): std::priority_queue is a max-heap, so invert.
-    bool operator<(const LegacyEntry& other) const {
-      if (when != other.when) return when > other.when;
-      return id > other.id;
-    }
-  };
-
-  void LegacyDropCancelledHead();
-
-  std::priority_queue<LegacyEntry> legacy_heap_;
-  std::unordered_set<EventId> legacy_pending_;
-  EventId legacy_next_id_ = 1;
 };
 
 }  // namespace cbt::netsim

@@ -20,9 +20,8 @@ constexpr std::size_t kTopologyJournalCap = 256;
 
 }  // namespace
 
-Simulator::Simulator(std::uint64_t seed, EventQueue::Engine engine)
-    : events_(engine),
-      rng_(seed),
+Simulator::Simulator(std::uint64_t seed)
+    : rng_(seed),
       trace_(obs::ProcessTraceBuffer()),
       seed_(seed) {}
 
@@ -303,9 +302,10 @@ bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
   // count is snapshotted so receivers attached after the transmission
   // (AttachHost mid-run) are not reached — both identical to the
   // per-receiver path. Faulty subnets (per-receiver RNG draws) and shard
-  // backends (region-crossing deliveries) always use per-receiver events.
-  if (delivery_mode_ == DeliveryMode::kBatched && backend_ == nullptr &&
-      multi && !faults.Any() && s.attachments.size() > 2) {
+  // backends (region-crossing deliveries) always use per-receiver events,
+  // so a test backend doubles as the per-receiver differential oracle.
+  if (backend_ == nullptr && multi && !faults.Any() &&
+      s.attachments.size() > 2) {
     const SubnetId sid = s.id;
     const auto count = static_cast<std::uint32_t>(s.attachments.size());
     const Ipv4Address link_src = out.address;

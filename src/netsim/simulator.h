@@ -20,6 +20,14 @@
 // FaultProfile (loss, duplication, reordering jitter, payload corruption)
 // applied independently per receiver, and netsim/chaos.h schedules timed
 // fault events (flaps, crashes, partitions) deterministically.
+//
+// Fault-free multicast fan-outs are batched: one delivery event runs
+// every receiver back-to-back, in attachment order, which is exactly the
+// order per-receiver events at consecutive sequence numbers would give.
+// Batching is skipped while a ShardBackend is installed. The engine and
+// delivery differential tests install a test-only reference scheduler
+// (tests/netsim/reference_scheduler.h) through that seam, so it serves
+// as the oracle for both the timer wheel and batched delivery.
 #pragma once
 
 #include <cstdint>
@@ -233,11 +241,7 @@ class ShardBackend {
 
 class Simulator {
  public:
-  /// `engine` selects the scheduler implementation; kLegacyHeap exists
-  /// only for the differential determinism tests and engine benchmarks.
-  explicit Simulator(
-      std::uint64_t seed = 1,
-      EventQueue::Engine engine = EventQueue::Engine::kTimerWheel);
+  explicit Simulator(std::uint64_t seed = 1);
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -403,19 +407,6 @@ class Simulator {
     return ref;
   }
 
-  /// How multicast fan-outs are delivered on the serial engine.
-  /// kBatched (default) schedules ONE vectored delivery event per subnet
-  /// transmission instead of one event per receiver; the receivers run
-  /// back-to-back inside it, in attachment order. This is observationally
-  /// identical to per-receiver events: the per-receiver closures would
-  /// occupy consecutive (time, sequence) slots that no other event can
-  /// interleave. Batching is bypassed whenever it could matter — faulty
-  /// subnets (per-receiver RNG draws) and shard backends keep the
-  /// per-receiver path. kPerReceiver survives for the differential tests.
-  enum class DeliveryMode : std::uint8_t { kBatched, kPerReceiver };
-  void SetDeliveryMode(DeliveryMode mode) { delivery_mode_ = mode; }
-  DeliveryMode delivery_mode() const { return delivery_mode_; }
-
   void SetFrameObserver(std::function<void(const FrameEvent&)> observer) {
     frame_observer_ = std::move(observer);
   }
@@ -517,7 +508,6 @@ class Simulator {
   int trace_pid_ = 1;
   std::uint64_t seed_ = 1;
   ShardBackend* backend_ = nullptr;
-  DeliveryMode delivery_mode_ = DeliveryMode::kBatched;
 };
 
 /// RAII node-affinity marker for code that acts *on behalf of* a node

@@ -378,23 +378,7 @@ void RouteManager::RebuildLpmIndex() {
   ++stats_.lpm_index_rebuilds;
 }
 
-std::optional<SubnetId> RouteManager::ResolveSubnetLinear(
-    Ipv4Address dest) const {
-  std::optional<SubnetId> best;
-  std::uint32_t best_mask = 0;
-  for (std::size_t si = 0; si < sim_->subnet_count(); ++si) {
-    const SubnetId id(static_cast<std::int32_t>(si));
-    const netsim::SubnetRecord& s = sim_->subnet(id);
-    if (s.address.Contains(dest) && (!best || s.address.mask() > best_mask)) {
-      best = id;
-      best_mask = s.address.mask();
-    }
-  }
-  return best;
-}
-
 std::optional<SubnetId> RouteManager::ResolveSubnet(Ipv4Address dest) {
-  if (lpm_mode_ == LpmMode::kLinearScan) return ResolveSubnetLinear(dest);
   if (lpm_.indexed_subnets != sim_->subnet_count()) RebuildLpmIndex();
 
   static_assert(kLpmCacheSize == 256, "slot hash yields an 8-bit index");

@@ -54,14 +54,10 @@ class RouteManager {
  public:
   /// Recompute strategy. kEager reproduces the historical behaviour —
   /// every epoch bump recomputes every table at the next query — and is
-  /// kept test-only (mirrors EventQueue::Engine::kLegacyHeap) so the
-  /// differential suite can pin old-vs-new behaviour per seed.
+  /// kept so the differential suite can pin old-vs-new behaviour per
+  /// seed: whole-simulation lazy-vs-eager cross-checks reach the
+  /// recompute policy only through this switch.
   enum class Mode { kLazy, kEager };
-
-  /// Destination-prefix resolution strategy; kLinearScan is the
-  /// historical per-call scan, kept for benchmarks and differential
-  /// tests of the LPM index.
-  enum class LpmMode { kIndexed, kLinearScan };
 
   /// Work counters, used by bench_routing and the invalidation tests.
   struct Stats {
@@ -82,9 +78,6 @@ class RouteManager {
     Invalidate();
   }
   Mode mode() const { return mode_; }
-
-  void set_lpm_mode(LpmMode mode) { lpm_mode_ = mode; }
-  LpmMode lpm_mode() const { return lpm_mode_; }
 
   /// Next hop from router `from` toward address `dest` (host or router).
   /// nullopt when dest is unreachable or not covered by any known subnet.
@@ -199,7 +192,6 @@ class RouteManager {
 
   void InvalidateAllTables();
 
-  std::optional<SubnetId> ResolveSubnetLinear(Ipv4Address dest) const;
   void RebuildLpmIndex();
 
   /// True when a static override's forwarding path is actually usable.
@@ -210,7 +202,6 @@ class RouteManager {
 
   netsim::Simulator* sim_;
   Mode mode_;
-  LpmMode lpm_mode_ = LpmMode::kIndexed;
   std::uint64_t synced_epoch_ = 0;
   std::size_t synced_subnet_count_ = 0;
   bool ever_synced_ = false;

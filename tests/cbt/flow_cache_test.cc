@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "analysis/migration.h"
 #include "cbt/domain.h"
 #include "cbt/flow_cache.h"
+#include "netsim/reference_scheduler.h"
 #include "netsim/simulator.h"
 #include "netsim/topologies.h"
 
@@ -211,10 +213,14 @@ struct RunOutcome {
   std::uint64_t arena_makes = 0;
 };
 
+/// `per_receiver` installs the test reference scheduler, under which the
+/// simulator schedules one delivery event per receiver instead of one
+/// batched event per multicast fan-out.
 RunOutcome RunFigure1Scenario(DataplaneMode mode, std::uint32_t seed,
-                              Simulator::DeliveryMode delivery) {
+                              bool per_receiver = false) {
   Simulator sim{seed};
-  sim.SetDeliveryMode(delivery);
+  std::optional<netsim::ReferenceScheduler> per_receiver_oracle;
+  if (per_receiver) per_receiver_oracle.emplace(sim);
   Topology topo = MakeFigure1(sim);
   CbtConfig config;
   config.dataplane = mode;
@@ -265,10 +271,8 @@ RunOutcome RunFigure1Scenario(DataplaneMode mode, std::uint32_t seed,
 
 TEST(DataplaneDifferential, FastMatchesSlowByteForByteAcrossFiveSeeds) {
   for (std::uint32_t seed = 1; seed <= 5; ++seed) {
-    const RunOutcome fast = RunFigure1Scenario(
-        DataplaneMode::kFast, seed, Simulator::DeliveryMode::kBatched);
-    const RunOutcome slow = RunFigure1Scenario(
-        DataplaneMode::kSlow, seed, Simulator::DeliveryMode::kBatched);
+    const RunOutcome fast = RunFigure1Scenario(DataplaneMode::kFast, seed);
+    const RunOutcome slow = RunFigure1Scenario(DataplaneMode::kSlow, seed);
     ASSERT_FALSE(fast.events.empty()) << "seed " << seed;
     EXPECT_EQ(fast.events, slow.events) << "seed " << seed;
     // Encode-once + zero-copy transit: the fast leg must stage strictly
@@ -279,10 +283,9 @@ TEST(DataplaneDifferential, FastMatchesSlowByteForByteAcrossFiveSeeds) {
 
 TEST(DataplaneDifferential, BatchedDeliveryMatchesPerReceiver) {
   for (std::uint32_t seed = 1; seed <= 3; ++seed) {
-    const RunOutcome batched = RunFigure1Scenario(
-        DataplaneMode::kFast, seed, Simulator::DeliveryMode::kBatched);
+    const RunOutcome batched = RunFigure1Scenario(DataplaneMode::kFast, seed);
     const RunOutcome per_rx = RunFigure1Scenario(
-        DataplaneMode::kFast, seed, Simulator::DeliveryMode::kPerReceiver);
+        DataplaneMode::kFast, seed, /*per_receiver=*/true);
     ASSERT_FALSE(batched.events.empty()) << "seed " << seed;
     EXPECT_EQ(batched.events, per_rx.events) << "seed " << seed;
   }

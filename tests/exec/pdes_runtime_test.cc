@@ -229,7 +229,7 @@ TEST(PoolRunWithTest, InlinePoolRunsTasksBeforeCaller) {
 
 // --- Ownership guard -------------------------------------------------------
 
-void TouchRegionQueueFromSecondThread() {
+[[maybe_unused]] void TouchRegionQueueFromSecondThread() {
   RegionQueue queue;
   queue.Schedule(EventKey{kMillisecond, -1, 0}, -1, [] {});  // binds owner
   std::thread([&] {

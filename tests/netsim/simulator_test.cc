@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "netsim/reference_scheduler.h"
 #include "netsim/timer.h"
 
 namespace cbt::netsim {
@@ -272,6 +276,68 @@ TEST_F(SimulatorTest, FindNodeByAddressAndName) {
   EXPECT_EQ(sim.FindNodeByName("alpha"), a);
   EXPECT_FALSE(sim.FindNodeByAddress(Ipv4Address(10, 9, 0, 1)).has_value());
   EXPECT_FALSE(sim.FindNodeByName("beta").has_value());
+}
+
+/// Logs every arrival into a log shared by all agents, and answers each
+/// frame of generation < 2 with one multicast of its own: receivers of
+/// one fan-out that ran out of order would reorder the log.
+class ChattyAgent : public NetworkAgent {
+ public:
+  ChattyAgent(Simulator& sim, NodeId self, std::vector<std::string>& log)
+      : sim_(sim), self_(self), log_(log) {}
+
+  void OnDatagram(VifIndex vif, Ipv4Address, Ipv4Address,
+                  std::span<const std::uint8_t> datagram) override {
+    const int generation = datagram[0];
+    log_.push_back(std::to_string(sim_.Now()) + " node " +
+                   std::to_string(self_.value()) + " gen " +
+                   std::to_string(generation) + " from " +
+                   std::to_string(datagram[1]));
+    if (generation < 2) {
+      sim_.SendDatagram(self_, vif, kAllSystemsGroup,
+                        {static_cast<std::uint8_t>(generation + 1),
+                         static_cast<std::uint8_t>(self_.value())});
+    }
+  }
+
+ private:
+  Simulator& sim_;
+  NodeId self_;
+  std::vector<std::string>& log_;
+};
+
+/// Multicast chatter on one five-node LAN, bracketed by same-time timers
+/// scheduled before and after the first send. `per_receiver` installs
+/// the test reference scheduler, which the simulator never batches for.
+std::vector<std::string> FanOutLog(bool per_receiver) {
+  Simulator sim(1);
+  std::optional<ReferenceScheduler> oracle;
+  if (per_receiver) oracle.emplace(sim);
+  const SubnetId lan = sim.AddSubnet(
+      "lan", SubnetAddress::FromPrefix(Ipv4Address(10, 1, 0, 0), 16));
+  std::vector<std::string> log;
+  std::vector<std::unique_ptr<ChattyAgent>> agents;
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 5; ++i) {
+    nodes.push_back(sim.AddNode("n" + std::to_string(i), true));
+    sim.Attach(nodes.back(), lan);
+    agents.push_back(std::make_unique<ChattyAgent>(sim, nodes.back(), log));
+    sim.SetAgent(nodes.back(), agents.back().get());
+  }
+  sim.ScheduleAt(kMillisecond, [&log] { log.push_back("timer before"); });
+  sim.SendDatagram(nodes[0], 0, kAllSystemsGroup, {0, 0});
+  sim.ScheduleAt(kMillisecond, [&log] { log.push_back("timer after"); });
+  if (!per_receiver) {
+    EXPECT_EQ(sim.events().size(), 3u) << "one event for the whole fan-out";
+  }
+  sim.RunUntil(10 * kMillisecond);
+  return log;
+}
+
+TEST(BatchedDelivery, MatchesPerReceiverOrder) {
+  const std::vector<std::string> batched = FanOutLog(false);
+  EXPECT_EQ(batched.size(), 2u + 4u + 16u + 64u);
+  EXPECT_EQ(batched, FanOutLog(true));
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Lazy scoped-invalidation route manager: equivalence with the eager
-// recompute strategy, warm-table bookkeeping, the LPM index, and the
-// static-override liveness fix (docs/PROTOCOL.md "Unicast routing &
-// invalidation model").
+// recompute strategy, warm-table bookkeeping, the LPM index (against a
+// linear-scan oracle), and the static-override liveness fix
+// (docs/PROTOCOL.md "Unicast routing & invalidation model").
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <vector>
 
 #include "common/random.h"
 #include "netsim/topologies.h"
@@ -265,6 +268,23 @@ TEST(RouteManagerLazy, PathReconstructsAfterPartialFailure) {
   EXPECT_EQ(routes.Path(sq.r0, sq.r1), want);
 }
 
+/// The LPM oracle: a linear scan for the longest covering prefix (the
+/// lowest subnet id wins among equal prefixes, as in the index).
+std::optional<SubnetId> LinearLongestPrefix(const Simulator& sim,
+                                            Ipv4Address dest) {
+  std::optional<SubnetId> best;
+  std::uint32_t best_mask = 0;
+  for (std::size_t si = 0; si < sim.subnet_count(); ++si) {
+    const SubnetId id(static_cast<std::int32_t>(si));
+    const SubnetAddress& prefix = sim.subnet(id).address;
+    if (prefix.Contains(dest) && (!best || prefix.mask() > best_mask)) {
+      best = id;
+      best_mask = prefix.mask();
+    }
+  }
+  return best;
+}
+
 TEST(RouteManagerLazy, LpmIndexMatchesLinearScan) {
   Simulator sim;
   const NodeId r0 = sim.AddNode("r0", true);
@@ -280,9 +300,6 @@ TEST(RouteManagerLazy, LpmIndexMatchesLinearScan) {
   sim.Attach(r0, other);
 
   RouteManager indexed(sim);
-  RouteManager linear(sim);
-  linear.set_lpm_mode(RouteManager::LpmMode::kLinearScan);
-
   const Ipv4Address probes[] = {
       Ipv4Address(10, 1, 7, 9),    // inside the /24
       Ipv4Address(10, 1, 8, 9),    // /16 only
@@ -290,7 +307,7 @@ TEST(RouteManagerLazy, LpmIndexMatchesLinearScan) {
       Ipv4Address(172, 16, 0, 1),  // no match
   };
   for (const Ipv4Address probe : probes) {
-    EXPECT_EQ(indexed.ResolveSubnet(probe), linear.ResolveSubnet(probe))
+    EXPECT_EQ(indexed.ResolveSubnet(probe), LinearLongestPrefix(sim, probe))
         << probe.bits();
   }
   EXPECT_EQ(indexed.ResolveSubnet(Ipv4Address(10, 1, 7, 9)), narrow);
@@ -303,6 +320,37 @@ TEST(RouteManagerLazy, LpmIndexMatchesLinearScan) {
   indexed.ResolveSubnet(Ipv4Address(10, 1, 7, 9));
   indexed.ResolveSubnet(Ipv4Address(172, 16, 0, 1));
   EXPECT_EQ(indexed.stats().lpm_cache_hits, hits_before + 2);
+
+  // A grid: every interface address (stub LANs and point-to-point /30s),
+  // then seeded random addresses, both inside the grid's 10/8 space and
+  // anywhere. Each address is resolved twice, so cached answers are
+  // checked as well as index walks.
+  Simulator grid_sim;
+  MakeGrid(grid_sim, 6, 6);
+  RouteManager routes(grid_sim);
+  std::vector<Ipv4Address> addresses;
+  for (std::size_t n = 0; n < grid_sim.node_count(); ++n) {
+    for (const netsim::Interface& iface :
+         grid_sim.node(NodeId(static_cast<std::int32_t>(n))).interfaces) {
+      addresses.push_back(iface.address);
+    }
+  }
+  Rng rng(2024);
+  for (int i = 0; i < 2000; ++i) {
+    const auto bits = static_cast<std::uint32_t>(rng.NextU64());
+    addresses.push_back(Ipv4Address(i % 2 == 0 ? (10u << 24) | (bits >> 8)
+                                               : bits));
+  }
+  std::size_t matched = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Ipv4Address address : addresses) {
+      const std::optional<SubnetId> want =
+          LinearLongestPrefix(grid_sim, address);
+      ASSERT_EQ(routes.ResolveSubnet(address), want) << address.ToString();
+      if (want) ++matched;
+    }
+  }
+  EXPECT_GT(matched, 2 * grid_sim.node_count());  // not all misses
 }
 
 TEST(RouteManagerLazy, LpmIndexRebuildsWhenSubnetsAppear) {
