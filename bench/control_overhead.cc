@@ -15,9 +15,10 @@
 
 #include "analysis/table.h"
 #include "bench_util.h"
-#include "baselines/dvmrp_domain.h"
+#include "baselines/dvmrp_router.h"
 #include "cbt/domain.h"
 #include "netsim/topologies.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -83,8 +84,10 @@ std::uint64_t RunDvmrp(int groups, std::uint64_t* data_transmissions) {
   }
   sim.RunUntil(10 * kSecond);
 
-  const std::uint64_t before = domain.TotalControlMessages();
-  std::uint64_t data_before = 0;
+  obs::Registry registry;
+  domain.BindMetrics(registry);
+  const obs::MetricSet before = domain.MetricsSnapshot();
+  const std::uint64_t control_before = domain.TotalControlMessages();
   // One packet per group every 60s: each prune-lifetime expiry (120s)
   // re-floods the whole grid.
   for (SimDuration t = 0; t < kObservation; t += 60 * kSecond) {
@@ -95,16 +98,12 @@ std::uint64_t RunDvmrp(int groups, std::uint64_t* data_transmissions) {
       }
     });
   }
-  for (const NodeId r : topo.routers) {
-    data_before += domain.router(r).stats().data_forwarded;
-  }
   sim.RunUntil(sim.Now() + kObservation);
-  std::uint64_t data_after = 0;
-  for (const NodeId r : topo.routers) {
-    data_after += domain.router(r).stats().data_forwarded;
-  }
-  *data_transmissions = data_after - data_before;
-  return domain.TotalControlMessages() - before;
+  *data_transmissions = domain.MetricsSnapshot()
+                            .Diff(before)
+                            .WithPrefix("dvmrp.router.")
+                            .SumWithSuffix(".data_forwarded");
+  return domain.TotalControlMessages() - control_before;
 }
 
 }  // namespace

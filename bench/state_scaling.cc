@@ -11,12 +11,13 @@
 //
 // Expected shape: CBT total state grows with G (and member count), flat
 // in S; DVMRP grows with G x S and touches every router.
+#include <algorithm>
 #include <iostream>
 
 #include "analysis/table.h"
 #include "bench_util.h"
-#include "baselines/dvmrp_domain.h"
-#include "baselines/mospf_domain.h"
+#include "baselines/dvmrp_router.h"
+#include "baselines/mospf_router.h"
 #include "cbt/core_selection.h"
 #include "cbt/domain.h"
 #include "netsim/topologies.h"
@@ -38,6 +39,19 @@ struct Result {
   std::size_t max_per_router = 0;
   std::size_t routers_with_state = 0;
 };
+
+// E1's state columns, tallied over every router of `domain`.
+template <class Domain>
+Result Tally(Domain& domain) {
+  Result r;
+  for (const NodeId id : domain.router_ids()) {
+    const std::size_t units = domain.router(id).StateUnits();
+    r.total += units;
+    r.max_per_router = std::max(r.max_per_router, units);
+    if (units > 0) ++r.routers_with_state;
+  }
+  return r;
+}
 
 Result RunCbt(int groups, int senders, std::uint64_t seed) {
   netsim::Simulator sim(seed);
@@ -78,24 +92,19 @@ Result RunCbt(int groups, int senders, std::uint64_t seed) {
     }
   }
   sim.RunUntil(sim.Now() + 30 * kSecond);
-
-  Result r;
-  for (const NodeId id : domain.router_ids()) {
-    const std::size_t units = domain.router(id).fib().StateUnits();
-    r.total += units;
-    r.max_per_router = std::max(r.max_per_router, units);
-    if (units > 0) ++r.routers_with_state;
-  }
-  return r;
+  return Tally(domain);
 }
 
-Result RunDvmrp(int groups, int senders, std::uint64_t seed) {
+// The per-source schemes (DVMRP, MOSPF): member hosts join with plain
+// IGMP reports; every sender's packet builds (S,G) state.
+template <class Domain>
+Result RunPerSource(int groups, int senders, std::uint64_t seed) {
   netsim::Simulator sim(seed);
   netsim::WaxmanParams params;
   params.n = kRouters;
   params.seed = seed;
   netsim::Topology topo = netsim::MakeWaxman(sim, params);
-  baselines::DvmrpDomain domain(sim, topo);
+  Domain domain(sim, topo);
   domain.Start();
   sim.RunUntil(kSecond);
 
@@ -122,59 +131,7 @@ Result RunDvmrp(int groups, int senders, std::uint64_t seed) {
     }
   }
   sim.RunUntil(sim.Now() + 30 * kSecond);
-
-  Result r;
-  for (const NodeId id : topo.routers) {
-    const std::size_t units = domain.router(id).StateUnits();
-    r.total += units;
-    r.max_per_router = std::max(r.max_per_router, units);
-    if (units > 0) ++r.routers_with_state;
-  }
-  return r;
-}
-
-Result RunMospf(int groups, int senders, std::uint64_t seed) {
-  netsim::Simulator sim(seed);
-  netsim::WaxmanParams params;
-  params.n = kRouters;
-  params.seed = seed;
-  netsim::Topology topo = netsim::MakeWaxman(sim, params);
-  baselines::MospfDomain domain(sim, topo);
-  domain.Start();
-  sim.RunUntil(kSecond);
-
-  Rng rng(seed * 7 + 1);  // same draws as the other runs
-  for (int g = 0; g < groups; ++g) {
-    const Ipv4Address group = GroupAddress(g);
-    rng.SampleWithoutReplacement(topo.routers.size(), 1);  // core draw
-    for (const std::size_t idx :
-         rng.SampleWithoutReplacement(topo.routers.size(),
-                                      kMembersPerGroup)) {
-      domain
-          .AddHost(topo.router_lans[idx],
-                   "m" + std::to_string(g) + "_" + std::to_string(idx))
-          .JoinGroupWithCores(group, {}, 0);
-    }
-    for (const std::size_t idx :
-         rng.SampleWithoutReplacement(topo.routers.size(),
-                                      (std::size_t)senders)) {
-      auto& host = domain.AddHost(
-          topo.router_lans[idx],
-          "s" + std::to_string(g) + "_" + std::to_string(idx));
-      sim.RunUntil(sim.Now() + 100 * kMillisecond);
-      host.SendToGroup(group, std::vector<std::uint8_t>{1});
-    }
-  }
-  sim.RunUntil(sim.Now() + 30 * kSecond);
-
-  Result r;
-  for (const NodeId id : topo.routers) {
-    const std::size_t units = domain.router(id).StateUnits();
-    r.total += units;
-    r.max_per_router = std::max(r.max_per_router, units);
-    if (units > 0) ++r.routers_with_state;
-  }
-  return r;
+  return Tally(domain);
 }
 
 }  // namespace
@@ -208,8 +165,10 @@ int main(int argc, char** argv) {
         for (const int groups : {4, 8, 16, 32}) {
           for (const int senders : {1, 4, 8}) {
             const Result cbt = RunCbt(groups, senders, 42);
-            const Result dvmrp = RunDvmrp(groups, senders, 42);
-            const Result mospf = RunMospf(groups, senders, 42);
+            const Result dvmrp =
+                RunPerSource<baselines::DvmrpDomain>(groups, senders, 42);
+            const Result mospf =
+                RunPerSource<baselines::MospfDomain>(groups, senders, 42);
             table.AddRow(
                 {analysis::Table::Num(groups), analysis::Table::Num(senders),
                  analysis::Table::Num(cbt.total),

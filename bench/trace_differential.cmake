@@ -3,8 +3,10 @@
 # The obs determinism contract: enabling tracing at any level must leave
 # bench stdout byte-identical — tracing is record-only. This script runs
 # bench_chaos_soak over two seeds and bench_join_latency with and
-# without --trace, compares stdout byte-for-byte, and sanity-checks that
-# one exported file is Chrome trace_event JSON.
+# without --trace, compares stdout byte-for-byte, and checks the shape of
+# the exported files: each chaos-soak trace is Chrome trace_event JSON
+# whose first event carries the six keys viewers need, and the --json
+# BENCH report written alongside it has its four top-level keys.
 #
 # Invoked as:
 #   cmake -DCHAOS_SOAK=<path> -DJOIN_LATENCY=<path> -DWORK_DIR=<dir>
@@ -27,13 +29,23 @@ function(run_and_capture out_var exit_var)
   set(${exit_var} "${code}" PARENT_SCOPE)
 endfunction()
 
+function(expect_json_keys label json)
+  foreach(key ${ARGN})
+    string(JSON ignored ERROR_VARIABLE err TYPE "${json}" ${key})
+    if(err)
+      message(FATAL_ERROR "${label}: missing key ${key}")
+    endif()
+  endforeach()
+endfunction()
+
 # --- chaos soak, two seeds, small scaling-mode run ---------------------
 foreach(seed 1 2)
   set(flags --seed ${seed} --events 6 --routers 9 --csv)
   run_and_capture(plain_out plain_code ${CHAOS_SOAK} ${flags})
   set(trace_file "${WORK_DIR}/chaos_soak_seed${seed}.trace.json")
+  set(report_file "${WORK_DIR}/chaos_soak_seed${seed}.report.json")
   run_and_capture(traced_out traced_code
-    ${CHAOS_SOAK} ${flags} --trace ${trace_file})
+    ${CHAOS_SOAK} ${flags} --trace ${trace_file} --json ${report_file})
   if(NOT plain_code STREQUAL traced_code)
     message(FATAL_ERROR
       "chaos_soak seed ${seed}: exit ${plain_code} (plain) vs "
@@ -47,6 +59,16 @@ foreach(seed 1 2)
       "(dumps in ${WORK_DIR})")
   endif()
   message(STATUS "chaos_soak seed ${seed}: traced stdout byte-identical")
+  file(READ "${trace_file}" trace_json)
+  string(JSON first_event ERROR_VARIABLE err GET "${trace_json}" traceEvents 0)
+  if(err)
+    message(FATAL_ERROR "${trace_file}: no traceEvents[0] (${err})")
+  endif()
+  expect_json_keys("${trace_file} event 0" "${first_event}"
+    name cat ph ts pid tid)
+  file(READ "${report_file}" report_json)
+  expect_json_keys("${report_file}" "${report_json}"
+    bench schema_version params series)
 endforeach()
 
 # --- join latency ------------------------------------------------------

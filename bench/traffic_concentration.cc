@@ -12,13 +12,14 @@
 // that is inherent to the single tree.
 #include <algorithm>
 #include <iostream>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/table.h"
 #include "bench_util.h"
 #include "analysis/tree_metrics.h"
-#include "baselines/dvmrp_domain.h"
-#include "baselines/rp_tree_domain.h"
+#include "baselines/dvmrp_router.h"
+#include "baselines/rp_tree_router.h"
 #include "cbt/core_selection.h"
 #include "cbt/domain.h"
 #include "netsim/topologies.h"
@@ -47,6 +48,52 @@ LoadSummary Summarize(const std::map<std::pair<NodeId, NodeId>, int>& load) {
   s.loaded_links = (double)load.size();
   s.mean_nonzero = load.empty() ? 0 : total / (double)load.size();
   return s;
+}
+
+// (b) One scheme on the live 5x5 grid: 8 members join (router 12 is the
+// CBT core and the RP), then each sends 10 packets; adds the data phase's
+// peak and total subnet frames to `live` as row `name`.
+template <class Domain>
+void RunLive(const char* name, analysis::Table& live) {
+  netsim::Simulator sim(3);
+  netsim::Topology topo = netsim::MakeGrid(sim, 5, 5);
+  const Ipv4Address group(239, 44, 0, 1);
+  Domain domain(sim, topo);
+  domain.RegisterGroup(group, {topo.routers[12]});
+  domain.Start();
+  sim.RunUntil(kSecond);
+  std::vector<core::HostAgent*> members;
+  Rng rng(21);
+  for (const std::size_t idx :
+       rng.SampleWithoutReplacement(topo.routers.size(), 8)) {
+    auto& h = domain.AddHost(topo.router_lans[idx], "m" + std::to_string(idx));
+    // Only CBT hosts send the RP/Core-Report; the baselines' hosts are
+    // plain IGMP members.
+    if constexpr (std::is_same_v<Domain, core::CbtDomain>) {
+      h.JoinGroup(group);
+    } else {
+      h.JoinGroupWithCores(group, {}, 0);
+    }
+    members.push_back(&h);
+    sim.RunUntil(sim.Now() + 300 * kMillisecond);
+  }
+  sim.RunUntil(sim.Now() + 20 * kSecond);
+  sim.ResetCounters();  // count only the data phase
+  for (int round = 0; round < 10; ++round) {
+    for (auto* m : members) {
+      m->SendToGroup(group, std::vector<std::uint8_t>(64, 1));
+    }
+    sim.RunUntil(sim.Now() + kSecond);
+  }
+  sim.RunUntil(sim.Now() + 10 * kSecond);
+
+  std::uint64_t peak = 0, total = 0;
+  for (std::size_t si = 0; si < sim.subnet_count(); ++si) {
+    const auto& counters = sim.subnet(SubnetId((std::int32_t)si)).counters;
+    peak = std::max(peak, counters.frames_sent);
+    total += counters.frames_sent;
+  }
+  live.AddRow({name, analysis::Table::Num(peak), analysis::Table::Num(total)});
 }
 
 }  // namespace
@@ -137,75 +184,9 @@ int main(int argc, char** argv) {
   out << "\n(b) live-simulation confirmation — 5x5 grid, 8 members "
          "each sending 10 packets; peak frames on any one subnet\n\n";
   analysis::Table live({"scheme", "peak subnet frames", "total data frames"});
-  enum class Scheme { kCbt, kDvmrp, kRpTree };
-  const auto run_live = [&](Scheme scheme) {
-    netsim::Simulator sim(3);
-    netsim::Topology topo = netsim::MakeGrid(sim, 5, 5);
-    const Ipv4Address group(239, 44, 0, 1);
-    std::vector<core::HostAgent*> members;
-
-    std::optional<core::CbtDomain> cbt;
-    std::optional<baselines::DvmrpDomain> dvmrp;
-    std::optional<baselines::RpTreeDomain> rptree;
-    if (scheme == Scheme::kCbt) {
-      cbt.emplace(sim, topo);
-      cbt->RegisterGroup(group, {topo.routers[12]});
-      cbt->Start();
-    } else if (scheme == Scheme::kDvmrp) {
-      dvmrp.emplace(sim, topo);
-      dvmrp->Start();
-    } else {
-      rptree.emplace(sim, topo);
-      rptree->RegisterGroup(group, topo.routers[12]);  // same RP as core
-      rptree->Start();
-    }
-    sim.RunUntil(kSecond);
-    Rng rng(21);
-    for (const std::size_t idx :
-         rng.SampleWithoutReplacement(topo.routers.size(), 8)) {
-      auto& h = scheme == Scheme::kCbt
-                    ? cbt->AddHost(topo.router_lans[idx],
-                                   "m" + std::to_string(idx))
-                : scheme == Scheme::kDvmrp
-                    ? dvmrp->AddHost(topo.router_lans[idx],
-                                     "m" + std::to_string(idx))
-                    : rptree->AddHost(topo.router_lans[idx],
-                                      "m" + std::to_string(idx));
-      if (scheme == Scheme::kCbt) {
-        h.JoinGroup(group);
-      } else {
-        h.JoinGroupWithCores(group, {}, 0);
-      }
-      members.push_back(&h);
-      sim.RunUntil(sim.Now() + 300 * kMillisecond);
-    }
-    sim.RunUntil(sim.Now() + 20 * kSecond);
-    sim.ResetCounters();  // count only the data phase
-    for (int round = 0; round < 10; ++round) {
-      for (auto* m : members) {
-        m->SendToGroup(group, std::vector<std::uint8_t>(64, 1));
-      }
-      sim.RunUntil(sim.Now() + kSecond);
-    }
-    sim.RunUntil(sim.Now() + 10 * kSecond);
-
-    std::uint64_t peak = 0, total = 0;
-    for (std::size_t si = 0; si < sim.subnet_count(); ++si) {
-      const auto& counters =
-          sim.subnet(SubnetId((std::int32_t)si)).counters;
-      peak = std::max(peak, counters.frames_sent);
-      total += counters.frames_sent;
-    }
-    const char* name = scheme == Scheme::kCbt ? "CBT shared tree (bidir)"
-                       : scheme == Scheme::kDvmrp
-                           ? "DVMRP flood-and-prune"
-                           : "PIM-SM-shape RP tree (unidir)";
-    live.AddRow({name, analysis::Table::Num(peak),
-                 analysis::Table::Num(total)});
-  };
-  run_live(Scheme::kCbt);
-  run_live(Scheme::kDvmrp);
-  run_live(Scheme::kRpTree);
+  RunLive<core::CbtDomain>("CBT shared tree (bidir)", live);
+  RunLive<baselines::DvmrpDomain>("DVMRP flood-and-prune", live);
+  RunLive<baselines::RpTreeDomain>("PIM-SM-shape RP tree (unidir)", live);
   cbt::bench::Emit(live, csv, "E4 live grid confirmation", out);
   out << "\n(the live CBT peak includes keepalive frames on the "
          "busiest tree link; DVMRP's total shows the flooding cost)\n";

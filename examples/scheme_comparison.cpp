@@ -4,10 +4,11 @@
 // oracle computation (bench_state_scaling / bench_tree_cost do the
 // systematic sweeps).
 #include <cstdio>
+#include <type_traits>
 #include <vector>
 
-#include "baselines/dvmrp_domain.h"
-#include "baselines/mospf_domain.h"
+#include "baselines/dvmrp_router.h"
+#include "baselines/mospf_router.h"
 #include "cbt/core_selection.h"
 #include "cbt/domain.h"
 #include "netsim/topologies.h"
@@ -33,10 +34,27 @@ struct Outcome {
   std::uint64_t control_messages = 0;
 };
 
-template <typename Domain, typename StatePerRouter, typename DataPerRouter>
-Outcome RunWorkload(netsim::Simulator& sim, netsim::Topology& topo,
-                    Domain& domain, bool cbt, StatePerRouter state_of,
-                    DataPerRouter data_of) {
+// One scheme on a fresh 24-router Waxman graph. Every group gets two
+// random cores; only CBT's routers and hosts consult them.
+template <typename Domain>
+Outcome RunWorkload() {
+  netsim::Simulator sim(11);
+  netsim::WaxmanParams params;
+  params.n = 24;
+  params.seed = 77;
+  netsim::Topology topo = netsim::MakeWaxman(sim, params);
+  Domain domain(sim, topo);
+  Rng core_rng(5);
+  core_selection::PlacementInput place_in;
+  place_in.routers = topo.routers;
+  place_in.rng = &core_rng;
+  const auto random_cores = core_selection::MakeStrategy("random");
+  for (int g = 0; g < kGroups; ++g) {
+    domain.RegisterGroup(Group(g), random_cores->Place(place_in, 2).cores);
+  }
+  domain.Start();
+  sim.RunUntil(kSecond);
+
   Rng rng(1234);
   std::vector<core::HostAgent*> members[kGroups];
   std::vector<core::HostAgent*> senders[kGroups];
@@ -47,7 +65,7 @@ Outcome RunWorkload(netsim::Simulator& sim, netsim::Topology& topo,
       auto& h = domain.AddHost(topo.router_lans[idx],
                                "m" + std::to_string(g) + "_" +
                                    std::to_string(idx));
-      if (cbt) {
+      if constexpr (std::is_same_v<Domain, core::CbtDomain>) {
         h.JoinGroup(Group(g));
       } else {
         h.JoinGroupWithCores(Group(g), {}, 0);
@@ -82,12 +100,13 @@ Outcome RunWorkload(netsim::Simulator& sim, netsim::Topology& topo,
       out.expected += 5 * kSendersPerGroup;
     }
   }
-  for (const NodeId r : topo.routers) {
-    const std::size_t units = state_of(r);
-    out.state_units += units;
-    if (units > 0) ++out.stateful_routers;
-    out.data_transmissions += data_of(r);
+  for (const NodeId r : domain.router_ids()) {
+    const auto& router = domain.router(r);
+    out.state_units += router.StateUnits();
+    if (router.StateUnits() > 0) ++out.stateful_routers;
+    out.data_transmissions += router.stats().DataTransmissions();
   }
+  out.control_messages = domain.TotalControlMessages();
   return out;
 }
 
@@ -98,70 +117,9 @@ int main() {
               "packets — on a 24-router Waxman graph:\n\n",
               kGroups, kMembersPerGroup, kSendersPerGroup);
 
-  Outcome cbt_out, dvmrp_out, mospf_out;
-  {
-    netsim::Simulator sim(11);
-    netsim::WaxmanParams params;
-    params.n = 24;
-    params.seed = 77;
-    netsim::Topology topo = netsim::MakeWaxman(sim, params);
-    core::CbtDomain domain(sim, topo);
-    Rng core_rng(5);
-    core_selection::PlacementInput place_in;
-    place_in.routers = topo.routers;
-    place_in.rng = &core_rng;
-    const auto random_cores = core_selection::MakeStrategy("random");
-    for (int g = 0; g < kGroups; ++g) {
-      domain.RegisterGroup(Group(g), random_cores->Place(place_in, 2).cores);
-    }
-    domain.Start();
-    sim.RunUntil(kSecond);
-    cbt_out = RunWorkload(
-        sim, topo, domain, /*cbt=*/true,
-        [&](NodeId r) { return domain.router(r).fib().StateUnits(); },
-        [&](NodeId r) {
-          const auto& s = domain.router(r).stats();
-          return s.data_forwarded_tree + s.data_delivered_lan;
-        });
-    cbt_out.control_messages = domain.TotalControlMessages();
-  }
-  {
-    netsim::Simulator sim(11);
-    netsim::WaxmanParams params;
-    params.n = 24;
-    params.seed = 77;
-    netsim::Topology topo = netsim::MakeWaxman(sim, params);
-    baselines::DvmrpDomain domain(sim, topo);
-    domain.Start();
-    sim.RunUntil(kSecond);
-    dvmrp_out = RunWorkload(
-        sim, topo, domain, /*cbt=*/false,
-        [&](NodeId r) { return domain.router(r).StateUnits(); },
-        [&](NodeId r) {
-          const auto& s = domain.router(r).stats();
-          return s.data_forwarded + s.data_delivered_lan;
-        });
-    dvmrp_out.control_messages = domain.TotalControlMessages();
-  }
-
-  {
-    netsim::Simulator sim(11);
-    netsim::WaxmanParams params;
-    params.n = 24;
-    params.seed = 77;
-    netsim::Topology topo = netsim::MakeWaxman(sim, params);
-    baselines::MospfDomain domain(sim, topo);
-    domain.Start();
-    sim.RunUntil(kSecond);
-    mospf_out = RunWorkload(
-        sim, topo, domain, /*cbt=*/false,
-        [&](NodeId r) { return domain.router(r).StateUnits(); },
-        [&](NodeId r) {
-          const auto& s = domain.router(r).stats();
-          return s.data_forwarded + s.data_delivered_lan;
-        });
-    mospf_out.control_messages = domain.TotalControlMessages();
-  }
+  const Outcome cbt_out = RunWorkload<core::CbtDomain>();
+  const Outcome dvmrp_out = RunWorkload<baselines::DvmrpDomain>();
+  const Outcome mospf_out = RunWorkload<baselines::MospfDomain>();
 
   std::printf("%-28s %14s %14s %14s\n", "", "CBT", "DVMRP-style",
               "MOSPF-style");

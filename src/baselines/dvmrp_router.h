@@ -22,10 +22,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
 #include "baselines/dvmrp_message.h"
+#include "cbt/scheme_domain.h"
 #include "obs/fields.h"
 #include "igmp/router_igmp.h"
 #include "netsim/simulator.h"
@@ -62,6 +64,12 @@ struct DvmrpStats {
     return obs::SumTagged(*this, obs::FieldTag::kControlSent);
   }
 
+  /// Data copies this router put on the wire: forwards plus deliveries
+  /// onto member LANs (the rollup core::RouterStats also offers).
+  std::uint64_t DataTransmissions() const {
+    return data_forwarded + data_delivered_lan;
+  }
+
   void Reset() { obs::ResetStats(*this); }
 };
 
@@ -87,6 +95,8 @@ void ForEachStatsField(Stats& s, Fn&& fn) {
 
 class DvmrpRouter : public netsim::NetworkAgent {
  public:
+  static constexpr std::string_view kMetricPrefix = "dvmrp";
+
   DvmrpRouter(netsim::Simulator& sim, NodeId self,
               routing::RouteManager& routes, DvmrpConfig config = {},
               igmp::IgmpConfig igmp_config = {});
@@ -146,5 +156,9 @@ class DvmrpRouter : public netsim::NetworkAgent {
   igmp::RouterIgmp igmp_;
   std::map<SourceGroup, std::unique_ptr<Entry>> entries_;
 };
+
+/// Harness wiring a topology into a DVMRP flood-and-prune domain
+/// (cbt/scheme_domain.h).
+using DvmrpDomain = core::SchemeDomain<DvmrpRouter>;
 
 }  // namespace cbt::baselines

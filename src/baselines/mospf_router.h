@@ -22,9 +22,11 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
+#include "cbt/scheme_domain.h"
 #include "igmp/router_igmp.h"
 #include "netsim/simulator.h"
 #include "obs/fields.h"
@@ -50,6 +52,12 @@ struct MospfStats {
   /// work were never counted; the kControlSent tags below pin that).
   std::uint64_t ControlMessagesSent() const {
     return obs::SumTagged(*this, obs::FieldTag::kControlSent);
+  }
+
+  /// Data copies this router put on the wire: forwards plus deliveries
+  /// onto member LANs (the rollup core::RouterStats also offers).
+  std::uint64_t DataTransmissions() const {
+    return data_forwarded + data_delivered_lan;
   }
 
   void Reset() { obs::ResetStats(*this); }
@@ -85,6 +93,8 @@ struct MembershipLsa {
 
 class MospfRouter : public netsim::NetworkAgent {
  public:
+  static constexpr std::string_view kMetricPrefix = "mospf";
+
   MospfRouter(netsim::Simulator& sim, NodeId self,
               routing::RouteManager& routes,
               igmp::IgmpConfig igmp_config = {});
@@ -145,5 +155,9 @@ class MospfRouter : public netsim::NetworkAgent {
   std::uint32_t my_sequence_ = 0;
   std::map<SourceGroup, std::unique_ptr<CacheEntry>> cache_;
 };
+
+/// Harness wiring a topology into an MOSPF-style domain
+/// (cbt/scheme_domain.h).
+using MospfDomain = core::SchemeDomain<MospfRouter>;
 
 }  // namespace cbt::baselines

@@ -42,12 +42,13 @@ std::optional<RpTreeMessage> RpTreeMessage::Decode(
 }
 
 RpTreeRouter::RpTreeRouter(netsim::Simulator& sim, NodeId self,
-                           routing::RouteManager& routes, RpResolver rp_of,
+                           routing::RouteManager& routes,
+                           const core::GroupDirectory& directory,
                            RpTreeConfig config, igmp::IgmpConfig igmp_config)
     : sim_(&sim),
       self_(self),
       routes_(&routes),
-      rp_of_(std::move(rp_of)),
+      directory_(&directory),
       config_(config),
       igmp_(sim, self, igmp_config,
             igmp::RouterIgmp::Callbacks{
@@ -115,7 +116,7 @@ RpTreeRouter::Entry& RpTreeRouter::EnsureJoined(Ipv4Address group) {
   auto& slot = entries_[group];
   if (slot == nullptr) {
     slot = std::make_unique<Entry>();
-    const auto rp = rp_of_(group);
+    const auto rp = directory_->PrimaryCore(group);
     if (rp && routes_->IsDirectlyAttached(self_, *rp)) {
       // Crude but sufficient RP self-identification: the RP's address is
       // one of ours (the harness assigns router primary addresses).
@@ -130,7 +131,7 @@ RpTreeRouter::Entry& RpTreeRouter::EnsureJoined(Ipv4Address group) {
 }
 
 void RpTreeRouter::SendJoinUpstream(Ipv4Address group, Entry& entry) {
-  const auto rp = rp_of_(group);
+  const auto rp = directory_->PrimaryCore(group);
   if (!rp) return;
   const auto route = routes_->Lookup(self_, *rp);
   if (route && route->vif != kInvalidVif) {
@@ -213,7 +214,7 @@ void RpTreeRouter::MaybePrune(Ipv4Address group) {
     RpTreeMessage prune;
     prune.type = RpTreeMessage::Type::kPrune;
     prune.group = group;
-    prune.rp = rp_of_(group).value_or(Ipv4Address{});
+    prune.rp = directory_->PrimaryCore(group).value_or(Ipv4Address{});
     ++stats_.prunes_sent;
     SendMessage(entry.upstream_vif, entry.upstream_neighbor, prune);
   }
@@ -239,7 +240,7 @@ void RpTreeRouter::HandleData(VifIndex vif, const packet::Ipv4Header& ip,
       if (fwd) ForwardDown(*entry, vif, ip, *fwd, group);
       return;
     }
-    const auto rp = rp_of_(group);
+    const auto rp = directory_->PrimaryCore(group);
     if (!rp) return;
     const auto route = routes_->Lookup(self_, *rp);
     if (!route || route->vif == kInvalidVif) return;

@@ -28,9 +28,12 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
+#include "cbt/group_directory.h"
+#include "cbt/scheme_domain.h"
 #include "igmp/router_igmp.h"
 #include "netsim/simulator.h"
 #include "netsim/timer.h"
@@ -99,12 +102,13 @@ struct RpTreeMessage {
 
 class RpTreeRouter : public netsim::NetworkAgent {
  public:
-  /// `rp_of` maps groups to their RP address (the shared directory in
-  /// the harness fills this role, like PIM's bootstrap/RP-set).
-  using RpResolver = std::function<std::optional<Ipv4Address>(Ipv4Address)>;
+  static constexpr std::string_view kMetricPrefix = "rptree";
 
+  /// A group's RP is its primary core in `directory` (the idealized
+  /// mapping service standing in for PIM's bootstrap/RP-set).
   RpTreeRouter(netsim::Simulator& sim, NodeId self,
-               routing::RouteManager& routes, RpResolver rp_of,
+               routing::RouteManager& routes,
+               const core::GroupDirectory& directory,
                RpTreeConfig config = {}, igmp::IgmpConfig igmp_config = {});
 
   void Start() override;
@@ -152,11 +156,15 @@ class RpTreeRouter : public netsim::NetworkAgent {
   netsim::Simulator* sim_;
   NodeId self_;
   routing::RouteManager* routes_;
-  RpResolver rp_of_;
+  const core::GroupDirectory* directory_;
   RpTreeConfig config_;
   RpTreeStats stats_;
   igmp::RouterIgmp igmp_;
   std::map<Ipv4Address, std::unique_ptr<Entry>> entries_;
 };
+
+/// Harness wiring a topology into a PIM-SM-shape RP-tree domain
+/// (cbt/scheme_domain.h).
+using RpTreeDomain = core::SchemeDomain<RpTreeRouter>;
 
 }  // namespace cbt::baselines

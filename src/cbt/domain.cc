@@ -4,104 +4,6 @@
 
 namespace cbt::core {
 
-CbtDomain::CbtDomain(netsim::Simulator& sim, netsim::Topology& topo,
-                     CbtConfig config, igmp::IgmpConfig igmp_config)
-    : sim_(&sim),
-      topo_(&topo),
-      routes_(sim),
-      config_(config),
-      igmp_config_(igmp_config) {
-  for (const NodeId id : topo.routers) {
-    auto router = std::make_unique<CbtRouter>(sim, id, routes_, directory_,
-                                              config_, igmp_config_);
-    sim.SetAgent(id, router.get());
-    routers_[id] = std::move(router);
-    router_ids_.push_back(id);
-  }
-  for (const NodeId id : topo.hosts) {
-    auto host = std::make_unique<HostAgent>(sim, id, &directory_);
-    sim.SetAgent(id, host.get());
-    hosts_[id] = std::move(host);
-    host_ids_.push_back(id);
-  }
-}
-
-CbtRouter& CbtDomain::router(NodeId id) {
-  const auto it = routers_.find(id);
-  assert(it != routers_.end());
-  return *it->second;
-}
-
-CbtRouter& CbtDomain::router(const std::string& name) {
-  return router(topo_->node(name));
-}
-
-HostAgent& CbtDomain::host(NodeId id) {
-  const auto it = hosts_.find(id);
-  assert(it != hosts_.end());
-  return *it->second;
-}
-
-HostAgent& CbtDomain::host(const std::string& name) {
-  return host(topo_->node(name));
-}
-
-HostAgent& CbtDomain::AddHost(SubnetId lan, const std::string& name) {
-  const NodeId id = netsim::AttachHost(*sim_, *topo_, lan, name);
-  auto host = std::make_unique<HostAgent>(*sim_, id, &directory_);
-  sim_->SetAgent(id, host.get());
-  HostAgent& ref = *host;
-  hosts_[id] = std::move(host);
-  host_ids_.push_back(id);
-  return ref;
-}
-
-igmp::MembershipAggregate& CbtDomain::AddAggregate(
-    SubnetId lan, const std::string& name,
-    igmp::MembershipAggregate::Mode mode) {
-  const NodeId id = netsim::AttachHost(*sim_, *topo_, lan, name);
-  auto station = std::make_unique<igmp::MembershipAggregate>(
-      *sim_, id, mode,
-      [this](Ipv4Address group) { return directory_.CoresFor(group); },
-      [this, lan](Ipv4Address group) {
-        return directory_.AssignedIndex(group, lan);
-      });
-  sim_->SetAgent(id, station.get());
-  igmp::MembershipAggregate& ref = *station;
-  aggregates_[id] = std::move(station);
-  aggregate_ids_.push_back(id);
-  return ref;
-}
-
-igmp::MembershipAggregate& CbtDomain::aggregate(NodeId id) {
-  const auto it = aggregates_.find(id);
-  assert(it != aggregates_.end());
-  return *it->second;
-}
-
-std::vector<Ipv4Address> CbtDomain::RegisterGroup(
-    Ipv4Address group, const std::vector<NodeId>& cores) {
-  std::vector<Ipv4Address> addresses;
-  addresses.reserve(cores.size());
-  for (const NodeId id : cores) addresses.push_back(sim_->PrimaryAddress(id));
-  directory_.SetGroup(group, addresses);
-  return addresses;
-}
-
-std::vector<Ipv4Address> CbtDomain::RegisterGroup(
-    Ipv4Address group, const core_selection::Placement& placement,
-    const std::vector<SubnetId>& member_lans) {
-  std::vector<Ipv4Address> addresses = RegisterGroup(group, placement.cores);
-  std::map<SubnetId, std::size_t> by_lan;
-  const std::size_t n = std::min(member_lans.size(),
-                                 placement.assignment.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    by_lan[member_lans[i]] = placement.assignment[i];
-  }
-  directory_.SetAssignments(group, std::move(by_lan));
-  return addresses;
-}
-
 void CbtDomain::ShardRoutes(int regions,
                             const std::function<int(NodeId)>& region_of) {
   assert(regions >= 1);
@@ -139,34 +41,6 @@ netsim::ChaosInjector::Hooks CbtDomain::ChaosHooks() {
     if (routers_.contains(id)) router(id).Restart();
   };
   return hooks;
-}
-
-std::size_t CbtDomain::TotalFibState() const {
-  std::size_t total = 0;
-  for (const auto& [id, router] : routers_) total += router->fib().StateUnits();
-  return total;
-}
-
-std::uint64_t CbtDomain::TotalControlMessages() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, router] : routers_) {
-    total += router->stats().ControlMessagesSent();
-  }
-  return total;
-}
-
-void CbtDomain::BindMetrics(obs::Registry& registry) {
-  sim_->SetMetrics(&registry);  // binds netsim.subnet.<id>.* as a side effect
-  for (const auto& [id, router] : routers_) {
-    obs::BindStats(registry, "cbt.router." + std::to_string(id.value()),
-                   router->mutable_stats());
-  }
-  obs::BindStats(registry, "cbt.routing", routes_.mutable_stats());
-}
-
-obs::MetricSet CbtDomain::MetricsSnapshot() const {
-  assert(sim_->metrics() != nullptr && "call BindMetrics first");
-  return sim_->metrics()->Snapshot();
 }
 
 std::vector<NodeId> CbtDomain::OnTreeRouters(Ipv4Address group) const {

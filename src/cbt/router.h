@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "cbt/config.h"
@@ -69,6 +70,9 @@ class CbtRouter : public netsim::NetworkAgent {
     std::function<void(Ipv4Address group)> on_loop_detected;
   };
 
+  /// First component of this scheme's metric names (SchemeDomain).
+  static constexpr std::string_view kMetricPrefix = "cbt";
+
   CbtRouter(netsim::Simulator& sim, NodeId self,
             routing::RouteManager& routes, const GroupDirectory& directory,
             CbtConfig config = {}, igmp::IgmpConfig igmp_config = {});
@@ -98,6 +102,8 @@ class CbtRouter : public netsim::NetworkAgent {
   const CbtConfig& config() const { return config_; }
 
   bool IsOnTree(Ipv4Address group) const { return fib_.Find(group) != nullptr; }
+  /// E1's state metric: FIB entries plus their children (Fib::StateUnits).
+  std::size_t StateUnits() const { return fib_.StateUnits(); }
   bool IsPending(Ipv4Address group) const { return pending_.contains(group); }
   /// True when this router declined FIB state after a proxy-ack (2.6).
   bool JoinedViaGdr(Ipv4Address group) const {

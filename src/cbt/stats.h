@@ -81,6 +81,12 @@ struct RouterStats {
     return obs::SumTagged(*this, obs::FieldTag::kControlSent);
   }
 
+  /// Data copies this router put on the wire: tree forwards plus
+  /// deliveries onto member LANs.
+  std::uint64_t DataTransmissions() const {
+    return data_forwarded_tree + data_delivered_lan;
+  }
+
   void Reset() { obs::ResetStats(*this); }
 };
 

@@ -65,7 +65,7 @@ class MembershipAggregate : public netsim::NetworkAgent {
 
   /// Supplies the ordered candidate-core list for a group (empty => no
   /// RP/Core-Report). A callback rather than a GroupDirectory so this
-  /// layer does not depend on cbt_core; CbtDomain adapts its directory.
+  /// layer does not depend on cbt_core; SchemeDomain adapts its directory.
   using CoresFn = std::function<std::vector<Ipv4Address>(Ipv4Address)>;
 
   /// Supplies the core-list index this station's LAN should target for a

@@ -2,7 +2,7 @@
 // prune propagation, prune expiry re-flood, and grafting.
 #include <gtest/gtest.h>
 
-#include "baselines/dvmrp_domain.h"
+#include "baselines/dvmrp_router.h"
 #include "netsim/topologies.h"
 
 namespace cbt::baselines {

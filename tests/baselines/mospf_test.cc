@@ -2,7 +2,7 @@
 // source-tree computation, and forwarding.
 #include <gtest/gtest.h>
 
-#include "baselines/mospf_domain.h"
+#include "baselines/mospf_router.h"
 #include "netsim/topologies.h"
 
 namespace cbt::baselines {

@@ -3,7 +3,7 @@
 // forwarding, and prune-on-leave.
 #include <gtest/gtest.h>
 
-#include "baselines/rp_tree_domain.h"
+#include "baselines/rp_tree_router.h"
 #include "netsim/topologies.h"
 
 namespace cbt::baselines {
@@ -36,7 +36,7 @@ class RpTreeFixture : public ::testing::Test {
   // Line r0 - r1 - r2 - r3; RP at r3; member behind r0, sender behind r2.
   RpTreeFixture() : topo(MakeLine(sim, 4)) {
     domain.emplace(sim, topo);
-    domain->RegisterGroup(kGroup, topo.routers[3]);
+    domain->RegisterGroup(kGroup, {topo.routers[3]});
     domain->Start();
     sim.RunUntil(kSecond);
     member = &domain->AddHost(topo.router_lans[0], "m");
@@ -114,7 +114,7 @@ TEST(RpTreeVsCbt, RegisterDetourCostsMoreHops) {
   Simulator sim{1};
   Topology topo = MakeLine(sim, 5);
   RpTreeDomain domain(sim, topo);
-  domain.RegisterGroup(kGroup, topo.routers[2]);
+  domain.RegisterGroup(kGroup, {topo.routers[2]});
   domain.Start();
   sim.RunUntil(kSecond);
   auto& m = domain.AddHost(topo.router_lans[0], "m");

@@ -126,13 +126,37 @@ TEST_P(ForwardingFixture, SecondPacketFollowsSamePath) {
 }
 
 TEST_P(ForwardingFixture, TtlLimitsPropagation) {
-  JoinAll();
   // G -> R8 -> R4 -> R3 -> R1 -> S1(A) needs 4 router hops; TTL 2 cannot
-  // get there but reaches K (S14, one router away).
-  domain->host("G").SendToGroup(kGroup, kPayload, /*ttl=*/2);
-  sim.RunUntil(40 * kSecond);
-  EXPECT_EQ(domain->host("A").ReceivedCount(kGroup), 0u);
-  EXPECT_EQ(domain->host("K").ReceivedCount(kGroup), 1u);
+  // get there but reaches K (S14, one router away). Each router where the
+  // TTL runs out counts the drop in data_dropped_ttl, on both data planes.
+  const auto send_ttl_2 = [](Simulator& s, CbtDomain& d) {
+    for (const char* h : kMembers) d.host(h).JoinGroup(kGroup);
+    s.RunUntil(30 * kSecond);
+    d.host("G").SendToGroup(kGroup, kPayload, /*ttl=*/2);
+    s.RunUntil(40 * kSecond);
+    EXPECT_EQ(d.host("A").ReceivedCount(kGroup), 0u);
+    EXPECT_EQ(d.host("K").ReceivedCount(kGroup), 1u);
+    std::uint64_t expired = 0;
+    for (const NodeId id : d.router_ids()) {
+      expired += d.router(id).stats().data_dropped_ttl;
+    }
+    return expired;
+  };
+  ASSERT_EQ(domain->router("R4").config().dataplane, DataplaneMode::kFast);
+  const std::uint64_t fast = send_ttl_2(sim, *domain);
+
+  Simulator slow_sim{1};
+  Topology slow_topo = MakeFigure1(slow_sim);
+  CbtConfig slow_config = domain->router("R4").config();
+  slow_config.dataplane = DataplaneMode::kSlow;
+  CbtDomain slow(slow_sim, slow_topo, slow_config);
+  slow.RegisterGroup(kGroup, {slow_topo.node("R4"), slow_topo.node("R9")});
+  slow.Start();
+  slow_sim.RunUntil(kSecond);
+  const std::uint64_t slow_expired = send_ttl_2(slow_sim, slow);
+
+  EXPECT_EQ(fast, 3u);  // three routers at the TTL boundary drop a copy
+  EXPECT_EQ(slow_expired, fast);
 }
 
 TEST_P(ForwardingFixture, Section5WalkthroughDeliveryCounts) {
