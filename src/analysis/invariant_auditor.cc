@@ -1,9 +1,10 @@
 #include "analysis/invariant_auditor.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <utility>
 
 namespace cbt::analysis {
 namespace {
@@ -13,14 +14,10 @@ using core::CbtRouter;
 using core::ChildEntry;
 using core::FibEntry;
 
-/// A router's view of one group, with liveness folded in: a down or
-/// crashed router holds no *effective* state (it can neither forward nor
-/// answer echoes), so references to it are dangling.
-struct RouterView {
-  NodeId id;
-  CbtRouter* router = nullptr;
-  const FibEntry* entry = nullptr;  // nullptr when off-tree or dead
-};
+/// Rootedness-walk state of an on-tree router within one group.
+enum Colour : std::uint8_t { kUnvisited, kOnPath, kDone };
+
+std::size_t Index(NodeId id) { return static_cast<std::size_t>(id.value()); }
 
 std::string AddrName(const netsim::Simulator& sim, Ipv4Address addr) {
   if (const auto node = sim.FindNodeByAddress(addr)) {
@@ -75,6 +72,34 @@ std::string AuditReport::Summary() const {
   return os.str();
 }
 
+/// Dense per-node buffers indexed by NodeId value, sized once per Audit()
+/// and reused across its groups. A host's slots stay empty (no router,
+/// no entry), so a reference to a host reads as dead or off-tree.
+struct InvariantAuditor::Scratch {
+  explicit Scratch(core::CbtDomain& domain)
+      : routers(domain.router_ids()),
+        router(domain.sim().node_count(), nullptr),
+        entry(router.size(), nullptr),
+        colour(router.size(), kUnvisited),
+        path_index(router.size(), 0) {
+    std::sort(routers.begin(), routers.end());
+    for (const NodeId id : routers) router[Index(id)] = &domain.router(id);
+  }
+
+  std::vector<NodeId> routers;  // ascending id order
+  std::vector<CbtRouter*> router;
+  /// This group's effective state, nullptr when off-tree or dead: a down
+  /// or crashed router can neither forward nor answer echoes, so
+  /// references to it are dangling.
+  std::vector<const FibEntry*> entry;
+  std::vector<std::uint8_t> colour;
+  /// Position of a kOnPath router in `path`.
+  std::vector<std::size_t> path_index;
+  std::vector<NodeId> path;
+  /// (lowest member, detail) of each parent-pointer cycle found.
+  std::vector<std::pair<NodeId, std::string>> cycles;
+};
+
 AuditReport InvariantAuditor::Audit() const {
   AuditReport report;
   report.at = domain_->sim().Now();
@@ -84,12 +109,13 @@ AuditReport InvariantAuditor::Audit() const {
   for (const NodeId id : domain_->router_ids()) {
     for (const auto& [g, entry] : domain_->router(id).fib()) groups.insert(g);
   }
-  for (const Ipv4Address g : groups) AuditGroup(g, report);
+  Scratch scratch(*domain_);
+  for (const Ipv4Address g : groups) AuditGroup(g, report, scratch);
   return report;
 }
 
-void InvariantAuditor::AuditGroup(Ipv4Address group,
-                                  AuditReport& report) const {
+void InvariantAuditor::AuditGroup(Ipv4Address group, AuditReport& report,
+                                  Scratch& scratch) const {
   ++report.groups_checked;
   netsim::Simulator& sim = domain_->sim();
 
@@ -103,38 +129,36 @@ void InvariantAuditor::AuditGroup(Ipv4Address group,
   };
 
   // Collect every live router's effective state for this group.
-  std::map<NodeId, RouterView> views;
   bool members_anywhere = false;
-  for (const NodeId id : domain_->router_ids()) {
-    CbtRouter& r = domain_->router(id);
-    RouterView view;
-    view.id = id;
-    view.router = &r;
+  for (const NodeId id : scratch.routers) {
+    const CbtRouter& r = *scratch.router[Index(id)];
     const bool dead = !sim.node(id).up || r.IsCrashed();
-    view.entry = dead ? nullptr : r.fib().Find(group);
-    if (view.entry != nullptr) ++report.routers_on_tree;
+    const FibEntry* entry = dead ? nullptr : r.fib().Find(group);
+    scratch.entry[Index(id)] = entry;
+    scratch.colour[Index(id)] = kUnvisited;
+    if (entry != nullptr) ++report.routers_on_tree;
     if (!dead && r.IsPending(group)) ++report.transient_joins;
     if (!dead && r.igmp().AnyMembers(group)) members_anywhere = true;
-    views[id] = view;
   }
 
-  const auto entry_of = [&](NodeId id) -> const FibEntry* {
-    const auto it = views.find(id);
-    return it == views.end() ? nullptr : it->second.entry;
-  };
+  const auto entry_of = [&](NodeId id) { return scratch.entry[Index(id)]; };
 
   // --- Per-router structural checks -----------------------------------
-  for (const auto& [id, view] : views) {
-    if (view.entry == nullptr) continue;
-    const FibEntry& entry = *view.entry;
+  for (const NodeId id : scratch.routers) {
+    if (entry_of(id) == nullptr) continue;
+    const FibEntry& entry = *entry_of(id);
     const std::string& name = sim.node(id).name;
 
-    // Duplicate children (packet duplication / join races must collapse).
-    std::set<Ipv4Address> child_addrs;
-    for (const ChildEntry& child : entry.children) {
-      if (!child_addrs.insert(child.address).second) {
-        note(InvariantKind::kDuplicateChild, id,
-             name + " records child " + child.address.ToString() + " twice");
+    // Duplicate children (packet duplication / join races must collapse):
+    // every child whose address an earlier child already holds.
+    for (std::size_t c = 0; c < entry.children.size(); ++c) {
+      const Ipv4Address addr = entry.children[c].address;
+      for (std::size_t earlier = 0; earlier < c; ++earlier) {
+        if (entry.children[earlier].address == addr) {
+          note(InvariantKind::kDuplicateChild, id,
+               name + " records child " + addr.ToString() + " twice");
+          break;
+        }
       }
     }
 
@@ -214,36 +238,51 @@ void InvariantAuditor::AuditGroup(Ipv4Address group,
   // --- Rootedness / loop detection ------------------------------------
   // Parent-pointer walk from every on-tree router must reach the anchor.
   // Broken links and detached roots were reported above; here we only
-  // catch cycles. A cycle is reported once, attributed to its
-  // lowest-numbered member.
-  for (const auto& [start, view] : views) {
-    if (view.entry == nullptr) continue;
-    std::vector<NodeId> path;
-    std::set<NodeId> seen;
+  // catch cycles. Three-colour memoised walk: a router is walked once per
+  // group, and a walk stops at the first router an earlier walk finished.
+  // A cycle is found once, when a walk meets its own path; it is
+  // attributed to its lowest-numbered member, and its text starts there
+  // and follows the parent pointers.
+  std::vector<std::uint8_t>& colour = scratch.colour;
+  std::vector<NodeId>& path = scratch.path;
+  scratch.cycles.clear();
+  for (const NodeId start : scratch.routers) {
+    if (colour[Index(start)] != kUnvisited) continue;
+    path.clear();
+    const FibEntry* cur_entry = entry_of(start);
     NodeId cur = start;
-    const FibEntry* cur_entry = view.entry;
     while (cur_entry != nullptr && cur_entry->HasParent()) {
+      colour[Index(cur)] = kOnPath;
+      scratch.path_index[Index(cur)] = path.size();
       path.push_back(cur);
-      seen.insert(cur);
       const auto next = sim.FindNodeByAddress(cur_entry->parent_address);
-      if (!next) break;
-      if (seen.contains(*next)) {
+      if (!next || colour[Index(*next)] == kDone) break;
+      if (colour[Index(*next)] == kOnPath) {
         // Cycle: the portion of `path` from *next onward.
-        const auto cycle_start = std::find(path.begin(), path.end(), *next);
-        const NodeId lowest = *std::min_element(cycle_start, path.end());
-        if (start == lowest) {
-          std::ostringstream os;
-          os << "forwarding loop:";
-          for (auto it = cycle_start; it != path.end(); ++it) {
-            os << " " << sim.node(*it).name;
-          }
-          note(InvariantKind::kParentLoop, start, os.str());
+        const auto cycle_start =
+            path.begin() +
+            static_cast<std::ptrdiff_t>(scratch.path_index[Index(*next)]);
+        const auto lowest = std::min_element(cycle_start, path.end());
+        std::ostringstream os;
+        os << "forwarding loop:";
+        for (auto it = lowest; it != path.end(); ++it) {
+          os << " " << sim.node(*it).name;
         }
+        for (auto it = cycle_start; it != lowest; ++it) {
+          os << " " << sim.node(*it).name;
+        }
+        scratch.cycles.emplace_back(*lowest, os.str());
         break;
       }
       cur = *next;
       cur_entry = entry_of(cur);
     }
+    for (const NodeId n : path) colour[Index(n)] = kDone;
+  }
+  std::sort(scratch.cycles.begin(), scratch.cycles.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [lowest, detail] : scratch.cycles) {
+    note(InvariantKind::kParentLoop, lowest, std::move(detail));
   }
 
   // --- Member-LAN attachment -------------------------------------------
@@ -255,13 +294,12 @@ void InvariantAuditor::AuditGroup(Ipv4Address group,
     bool present = false;
     bool served = false;
     for (const auto& [node, vif] : subnet.attachments) {
-      const auto it = views.find(node);
-      if (it == views.end()) continue;  // host attachment
-      const RouterView& rv = it->second;
-      if (!sim.node(node).up || rv.router->IsCrashed()) continue;
+      const CbtRouter* router = scratch.router[Index(node)];
+      if (router == nullptr) continue;  // host attachment
+      if (!sim.node(node).up || router->IsCrashed()) continue;
       if (!sim.interface(node, vif).up) continue;
-      if (rv.router->igmp().HasMembers(vif, group)) present = true;
-      if (rv.entry != nullptr && rv.router->IsSubnetDr(group, vif)) {
+      if (router->igmp().HasMembers(vif, group)) present = true;
+      if (entry_of(node) != nullptr && router->IsSubnetDr(group, vif)) {
         served = true;
       }
     }

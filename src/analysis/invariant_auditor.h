@@ -24,6 +24,16 @@
 // During fault windows and recovery the auditor reports violations; the
 // convergence probe (RunUntilInvariantsHold) measures recovery time as
 // fault-time → first audit with every invariant restored.
+//
+// Cost: one audit of a group is linear in the domain, O(N + A + C + D):
+// N routers (one FIB lookup each), A subnet attachments (member-LAN
+// check), C child links (each parent and child address resolves with one
+// hash probe, Simulator::FindNodeByAddress), and D, the sum over on-tree
+// routers of their squared child counts (the duplicate-child check; child
+// lists hold one entry per downstream neighbour). The rootedness walk is
+// memoised, so each on-tree router is walked once per group. Audit()
+// costs that per group, plus building a set of the groups; its per-node
+// buffers are allocated once and reused across the groups.
 #pragma once
 
 #include <cstddef>
@@ -84,10 +94,12 @@ class InvariantAuditor {
   /// Audits every group known to the directory or held in any router FIB.
   AuditReport Audit() const;
 
-  /// Audits a single group into `report`.
-  void AuditGroup(Ipv4Address group, AuditReport& report) const;
-
  private:
+  struct Scratch;
+  /// Audits one group into `report`, reusing `scratch` across groups.
+  void AuditGroup(Ipv4Address group, AuditReport& report,
+                  Scratch& scratch) const;
+
   core::CbtDomain* domain_;
 };
 

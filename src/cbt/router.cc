@@ -915,6 +915,11 @@ void CbtRouter::SimulateRestart() {
 }
 
 void CbtRouter::Crash() {
+  // Fault injection calls Crash/Restart from outside any event; under a
+  // shard backend the scope keeps this router's timers, cancels and RNG
+  // draws in its own region (no-op otherwise), so a region worker never
+  // has to cancel a timer that sits in the coordinator's queue.
+  netsim::AffinityScope affinity(*sim_, self_);
   alive_ = false;
   SimulateRestart();  // wipes FIB + transient state (their timers die too)
   echo_timer_.Cancel();
@@ -929,6 +934,7 @@ void CbtRouter::Crash() {
 }
 
 void CbtRouter::Restart() {
+  netsim::AffinityScope affinity(*sim_, self_);  // see Crash()
   alive_ = true;
   OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
             .name = "restart", .node = self_.value());

@@ -84,6 +84,8 @@ VifIndex Simulator::AttachWithHostPart(NodeId node_id, SubnetId subnet_id,
   iface.address = addr;
   n.interfaces.push_back(iface);
   s.attachments.emplace_back(node_id, iface.vif);
+  const auto [owner, added] = node_by_address_.try_emplace(addr, node_id);
+  if (!added && node_id < owner->second) owner->second = node_id;
   RecordTopologyChange(TopologyChange::Kind::kAttach, subnet_id, node_id,
                        true);
   return iface.vif;
@@ -137,12 +139,9 @@ const Interface& Simulator::interface(NodeId node_id, VifIndex vif) const {
 }
 
 std::optional<NodeId> Simulator::FindNodeByAddress(Ipv4Address address) const {
-  for (const NodeRecord& n : nodes_) {
-    for (const Interface& iface : n.interfaces) {
-      if (iface.address == address) return n.id;
-    }
-  }
-  return std::nullopt;
+  const auto it = node_by_address_.find(address);
+  if (it == node_by_address_.end()) return std::nullopt;
+  return it->second;
 }
 
 Ipv4Address Simulator::PrimaryAddress(NodeId node_id) const {

@@ -37,6 +37,7 @@
 #include <span>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -325,7 +326,10 @@ class Simulator {
 
   const Interface& interface(NodeId node, VifIndex vif) const;
 
-  /// Looks up the node owning `address`, if any.
+  /// Looks up the node owning `address`, if any: one probe of a hash
+  /// index that AttachWithHostPart fills (interfaces get their addresses
+  /// nowhere else). If two interfaces share an address, the lower NodeId
+  /// owns it.
   std::optional<NodeId> FindNodeByAddress(Ipv4Address address) const;
 
   /// First interface address of a node — its conventional "router id".
@@ -498,6 +502,8 @@ class Simulator {
   Rng rng_;
   std::vector<NodeRecord> nodes_;
   std::vector<SubnetRecord> subnets_;
+  /// Interface address -> owning node; see FindNodeByAddress.
+  std::unordered_map<Ipv4Address, NodeId> node_by_address_;
   std::uint64_t topology_epoch_ = 0;
   /// Ring of recent scoped changes, one per epoch bump, contiguous up to
   /// topology_epoch(); trimmed from the front when it outgrows the cap.

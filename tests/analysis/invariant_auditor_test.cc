@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "analysis/reference_auditor.h"
 #include "cbt/domain.h"
 #include "netsim/topologies.h"
 
@@ -157,6 +161,134 @@ TEST_F(AuditorFixture, ConvergenceProbeTimesOutOnPersistentViolation) {
   const SimTime deadline = sim.Now() + 60 * kSecond;
   EXPECT_FALSE(RunUntilInvariantsHold(*domain, deadline).has_value());
   EXPECT_EQ(sim.Now(), deadline);
+}
+
+/// Nine routers with no protocol running; each test writes parent
+/// pointers by hand. Links: r0-r1, r1-r2, r2-r6, the triangle r4-r5-r6,
+/// and r3-r7.
+class LoopFixture : public ::testing::Test {
+ protected:
+  LoopFixture() {
+    for (int i = 0; i < 9; ++i) {
+      const std::string name = "r" + std::to_string(i);
+      r.push_back(sim.AddNode(name, true));
+      topo.routers.push_back(r.back());
+      topo.nodes[name] = r.back();
+    }
+    for (const auto& [a, b] : std::vector<std::pair<int, int>>{
+             {0, 1}, {1, 2}, {2, 6}, {4, 5}, {5, 6}, {6, 4}, {3, 7}}) {
+      sim.Connect(r[a], r[b]);
+    }
+    domain.emplace(sim, topo);
+    domain->RegisterGroup(kGroup, {r[0]});
+  }
+
+  /// Gives `child` an entry whose parent is `parent`'s address on their
+  /// shared link.
+  void SetParent(int child, int parent, Ipv4Address group = kGroup) {
+    FibEntry& entry = domain->router(r[child]).mutable_fib().Create(group);
+    for (const netsim::Interface& iface : sim.node(r[child]).interfaces) {
+      for (const auto& [node, vif] : sim.subnet(iface.subnet).attachments) {
+        if (node != r[parent]) continue;
+        entry.parent_vif = iface.vif;
+        entry.parent_address = sim.interface(node, vif).address;
+        return;
+      }
+    }
+    FAIL() << "r" << child << " and r" << parent << " share no link";
+  }
+
+  /// The loop violations of an audit, after checking the whole report
+  /// against the reference auditor.
+  std::vector<Violation> Loops() {
+    const AuditReport report = InvariantAuditor(*domain).Audit();
+    const AuditReport want = reference::ReferenceAudit(*domain);
+    EXPECT_EQ(report.Summary(), want.Summary());
+    std::vector<Violation> loops;
+    for (const Violation& v : report.violations) {
+      if (v.kind == InvariantKind::kParentLoop) loops.push_back(v);
+    }
+    return loops;
+  }
+
+  Simulator sim{1};
+  Topology topo;
+  std::vector<NodeId> r;
+  std::optional<CbtDomain> domain;
+};
+
+TEST_F(LoopFixture, ThreeCycleBehindATailIsReportedOnceAtItsLowestMember) {
+  // r1 -> r2 -> r6 enters the cycle r6 -> r4 -> r5 -> r6 at r6.
+  SetParent(1, 2);
+  SetParent(2, 6);
+  SetParent(6, 4);
+  SetParent(4, 5);
+  SetParent(5, 6);
+
+  const std::vector<Violation> loops = Loops();
+  ASSERT_EQ(loops.size(), 1u);
+  EXPECT_EQ(loops[0].node, r[4]);
+  EXPECT_EQ(loops[0].Describe(),
+            "parent-loop group=239.1.2.3 forwarding loop: r4 r5 r6");
+}
+
+TEST_F(LoopFixture, TwoDisjointCyclesAreReportedByLowestMember) {
+  SetParent(1, 2);
+  SetParent(2, 6);
+  SetParent(6, 4);
+  SetParent(4, 5);
+  SetParent(5, 6);
+  // A 2-cycle found after the 3-cycle (the walk from r1 meets r4's cycle
+  // first) but reported before it: r3 is the lower lowest member.
+  SetParent(7, 3);
+  SetParent(3, 7);
+
+  const std::vector<Violation> loops = Loops();
+  ASSERT_EQ(loops.size(), 2u);
+  EXPECT_EQ(loops[0].node, r[3]);
+  EXPECT_EQ(loops[0].Describe(),
+            "parent-loop group=239.1.2.3 forwarding loop: r3 r7");
+  EXPECT_EQ(loops[1].node, r[4]);
+  EXPECT_EQ(loops[1].Describe(),
+            "parent-loop group=239.1.2.3 forwarding loop: r4 r5 r6");
+}
+
+TEST_F(LoopFixture, CycleInALaterGroupIsFoundAfterAnAcyclicOne) {
+  // One audit walks kGroup's chain r4 -> r5 -> r6 first; the same
+  // routers must be walked afresh for the next group's cycle.
+  const Ipv4Address later(239, 1, 2, 4);
+  SetParent(4, 5);
+  SetParent(5, 6);
+  SetParent(4, 5, later);
+  SetParent(5, 6, later);
+  SetParent(6, 4, later);
+
+  const std::vector<Violation> loops = Loops();
+  ASSERT_EQ(loops.size(), 1u);
+  EXPECT_EQ(loops[0].node, r[4]);
+  EXPECT_EQ(loops[0].Describe(),
+            "parent-loop group=239.1.2.4 forwarding loop: r4 r5 r6");
+}
+
+TEST_F(LoopFixture, ParentChainThroughACrashedRouterIsNoLoop) {
+  SetParent(4, 5);
+  SetParent(5, 6);
+  SetParent(6, 4);
+  ASSERT_EQ(Loops().size(), 1u);
+
+  // A crashed router holds no effective state: the chain r6 -> r4 -> r5
+  // ends at a dead parent instead of closing the ring.
+  domain->CrashRouter(r[5]);
+  EXPECT_TRUE(Loops().empty());
+  const AuditReport report = InvariantAuditor(*domain).Audit();
+  ASSERT_EQ(report.CountOf(InvariantKind::kBrokenParentLink), 1u);
+  for (const Violation& v : report.violations) {
+    if (v.kind != InvariantKind::kBrokenParentLink) continue;
+    EXPECT_EQ(v.node, r[4]);
+    EXPECT_NE(v.detail.find("r4 parent r5("), std::string::npos) << v.detail;
+    EXPECT_NE(v.detail.find(") is dead or off-tree"), std::string::npos)
+        << v.detail;
+  }
 }
 
 }  // namespace

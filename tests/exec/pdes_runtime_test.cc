@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -144,6 +145,53 @@ TEST(PdesRuntimeTest, MatchesSerialEngineStructurally) {
   EXPECT_EQ(pdes.on_tree, serial.on_tree);
   EXPECT_EQ(pdes.received, serial.received);
   EXPECT_EQ(pdes.now, serial.now);
+}
+
+TEST(PdesRuntimeTest, RestartedRouterKeepsItsTimersInItsRegion) {
+  // Fault injection crashes and restarts routers from coordinator events.
+  // The restarted router's timers must land in its own region: if they
+  // went to the coordinator queue, they would fire on the coordinator's
+  // thread, and a region worker cancelling one would touch that queue
+  // from a second thread (the debug guard aborts on exactly that).
+  netsim::Simulator sim(7);
+  netsim::Topology topo = netsim::MakeFigure1(sim);
+  // Outlives the domain: timer dtors cancel through the backend.
+  Runtime pdes(sim, /*shards=*/4, /*threads=*/4);
+  core::CbtDomain domain(sim, topo);
+  pdes.Install();
+  ASSERT_GT(pdes.worker_count(), 1);
+  domain.ShardRoutes(pdes.region_count(),
+                     [&pdes](NodeId id) { return pdes.RegionOf(id); });
+  domain.RegisterGroup(kGroup, {topo.node("R4")});
+  domain.Start();
+  sim.RunUntil(kSecond);
+  for (const char* member : {"A", "B", "G", "H"}) {
+    domain.host(member).JoinGroup(kGroup);
+  }
+
+  const NodeId target = topo.node("R1");
+  constexpr SimTime kCrashAt = 15 * kSecond;
+  constexpr SimTime kRestartAt = 20 * kSecond;
+  sim.ScheduleAt(kCrashAt, [&] { domain.CrashRouter(target); });
+  sim.ScheduleAt(kRestartAt, [&] { domain.RestartRouter(target); });
+
+  // The coordinator runs on this thread; region events never do.
+  const std::thread::id coordinator = std::this_thread::get_id();
+  std::mutex mu;
+  std::size_t later_frames = 0;
+  std::size_t on_coordinator = 0;
+  sim.SetFrameObserver([&](const netsim::FrameEvent& frame) {
+    if (frame.sender != target || frame.time <= kRestartAt) return;
+    const std::lock_guard<std::mutex> lock(mu);
+    ++later_frames;
+    if (std::this_thread::get_id() == coordinator) ++on_coordinator;
+  });
+  sim.RunUntil(kRestartAt + 120 * kSecond);
+  sim.SetFrameObserver(nullptr);
+
+  EXPECT_GT(later_frames, 0u) << "R1 sent nothing after its restart";
+  EXPECT_EQ(on_coordinator, 0u)
+      << "R1's post-restart timers ran as coordinator events";
 }
 
 TEST(PdesRuntimeTest, RegionAndWorkerCountsClampSensibly) {

@@ -7,8 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "cbt/domain.h"
 #include "netsim/reference_scheduler.h"
 #include "netsim/timer.h"
+#include "netsim/topologies.h"
 
 namespace cbt::netsim {
 namespace {
@@ -276,6 +278,72 @@ TEST_F(SimulatorTest, FindNodeByAddressAndName) {
   EXPECT_EQ(sim.FindNodeByName("alpha"), a);
   EXPECT_FALSE(sim.FindNodeByAddress(Ipv4Address(10, 9, 0, 1)).has_value());
   EXPECT_FALSE(sim.FindNodeByName("beta").has_value());
+}
+
+/// The address index's oracle: the lowest NodeId with an interface on
+/// `address`, by a scan over every interface.
+std::optional<NodeId> LinearFindNode(const Simulator& sim,
+                                     Ipv4Address address) {
+  for (std::size_t n = 0; n < sim.node_count(); ++n) {
+    const NodeRecord& node = sim.node(NodeId(static_cast<std::int32_t>(n)));
+    for (const Interface& iface : node.interfaces) {
+      if (iface.address == address) return node.id;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(AddressIndex, GridWithHostsAndAggregateMatchesLinearScan) {
+  Simulator sim(1);
+  Topology topo = MakeGrid(sim, 6, 6);
+  core::CbtDomain domain(sim, topo);
+  for (const std::size_t lan : {0u, 7u, 20u, 35u}) {
+    domain.AddHost(topo.router_lans[lan], "h" + std::to_string(lan));
+  }
+  domain.AddAggregate(topo.router_lans[14], "agg");
+
+  std::size_t checked = 0;
+  for (std::size_t n = 0; n < sim.node_count(); ++n) {
+    const NodeRecord& node = sim.node(NodeId(static_cast<std::int32_t>(n)));
+    for (const Interface& iface : node.interfaces) {
+      EXPECT_EQ(sim.FindNodeByAddress(iface.address),
+                LinearFindNode(sim, iface.address))
+          << iface.address.ToString();
+      EXPECT_EQ(sim.FindNodeByAddress(iface.address), node.id);
+      ++checked;
+    }
+  }
+  // 36 router LAN interfaces, 60 links x 2 ends, 4 hosts, 1 station.
+  EXPECT_EQ(checked, 36u + 2u * 60u + 5u);
+}
+
+TEST(AddressIndex, UnknownUnspecifiedAndMulticastResolveToNothing) {
+  Simulator sim(1);
+  MakeGrid(sim, 6, 6);
+  for (const Ipv4Address address :
+       {Ipv4Address(192, 0, 2, 77), Ipv4Address{}, kAllSystemsGroup,
+        kAllCbtRoutersGroup, Ipv4Address(239, 1, 2, 3)}) {
+    EXPECT_EQ(sim.FindNodeByAddress(address), std::nullopt)
+        << address.ToString();
+    EXPECT_EQ(LinearFindNode(sim, address), std::nullopt);
+  }
+}
+
+TEST(AddressIndex, DuplicateAddressResolvesToTheLowerNodeId) {
+  Simulator sim(1);
+  const NodeId low = sim.AddNode("low", true);
+  const NodeId high = sim.AddNode("high", true);
+  const NodeId later = sim.AddNode("later", true);
+  const SubnetId lan = sim.AddSubnet(
+      "lan", SubnetAddress::FromPrefix(Ipv4Address(10, 7, 0, 0), 16));
+  // The higher id claims the address first; the lower one still wins,
+  // and a third, higher claimant changes nothing.
+  sim.AttachWithHostPart(high, lan, 5);
+  EXPECT_EQ(sim.FindNodeByAddress(Ipv4Address(10, 7, 0, 5)), high);
+  sim.AttachWithHostPart(low, lan, 5);
+  sim.AttachWithHostPart(later, lan, 5);
+  EXPECT_EQ(sim.FindNodeByAddress(Ipv4Address(10, 7, 0, 5)), low);
+  EXPECT_EQ(LinearFindNode(sim, Ipv4Address(10, 7, 0, 5)), low);
 }
 
 /// Logs every arrival into a log shared by all agents, and answers each
