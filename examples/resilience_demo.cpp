@@ -25,8 +25,8 @@ int main() {
   core::HostAgent& source = domain.AddHost(topo.router_lans[5], "cam");
   std::vector<core::HostAgent*> viewers;
   for (const std::size_t idx : {3u, 10u, 12u}) {
-    viewers.push_back(
-        &domain.AddHost(topo.router_lans[idx], "tv" + std::to_string(idx)));
+    viewers.push_back(&domain.AddHost(topo.router_lans[idx],
+                                      netsim::IndexedName("tv", idx)));
     viewers.back()->JoinGroup(video);
   }
   source.JoinGroup(video);  // the camera host is a member too

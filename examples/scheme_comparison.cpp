@@ -63,8 +63,7 @@ Outcome RunWorkload() {
     for (const std::size_t idx : rng.SampleWithoutReplacement(
              topo.routers.size(), kMembersPerGroup)) {
       auto& h = domain.AddHost(topo.router_lans[idx],
-                               "m" + std::to_string(g) + "_" +
-                                   std::to_string(idx));
+                               netsim::IndexedName("m", g, idx));
       if constexpr (std::is_same_v<Domain, core::CbtDomain>) {
         h.JoinGroup(Group(g));
       } else {
@@ -77,7 +76,7 @@ Outcome RunWorkload() {
              topo.routers.size(), kSendersPerGroup)) {
       senders[g].push_back(&domain.AddHost(
           topo.router_lans[idx],
-          "s" + std::to_string(g) + "_" + std::to_string(idx)));
+          netsim::IndexedName("s", g, idx)));
     }
   }
   sim.RunUntil(sim.Now() + 20 * kSecond);

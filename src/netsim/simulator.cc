@@ -100,10 +100,8 @@ SubnetId Simulator::Connect(NodeId a, NodeId b, SimDuration delay, double cost) 
   const SubnetId sid =
       AddSubnet("p2p-" + node(a).name + "-" + node(b).name, addr, delay);
   subnet(sid).multi_access = false;
-  const VifIndex va = Attach(a, sid);
-  const VifIndex vb = Attach(b, sid);
-  node(a).interfaces[static_cast<std::size_t>(va)].cost = cost;
-  node(b).interfaces[static_cast<std::size_t>(vb)].cost = cost;
+  SetInterfaceCost(a, Attach(a, sid), cost);
+  SetInterfaceCost(b, Attach(b, sid), cost);
   return sid;
 }
 
@@ -176,6 +174,16 @@ void Simulator::SetInterfaceUp(NodeId node_id, VifIndex vif, bool up) {
   }
 }
 
+void Simulator::SetInterfaceCost(NodeId node_id, VifIndex vif, double cost) {
+  Interface& iface =
+      node(node_id).interfaces.at(static_cast<std::size_t>(vif));
+  if (iface.cost != cost) {
+    iface.cost = cost;
+    RecordTopologyChange(TopologyChange::Kind::kInterfaceCost, iface.subnet,
+                         node_id, iface.up);
+  }
+}
+
 void Simulator::SetNodeUp(NodeId node_id, bool up) {
   NodeRecord& n = node(node_id);
   if (n.up != up) {
@@ -198,7 +206,8 @@ void Simulator::RecordTopologyChange(TopologyChange::Kind kind,
   topology_journal_.push_back(
       TopologyChange{kind, topology_epoch_, subnet_id, node_id, up});
   static const char* const kKindNames[] = {"subnet-state", "interface-state",
-                                           "node-state", "attach"};
+                                           "node-state", "attach",
+                                           "interface-cost"};
   OBS_TRACE(trace(), .time = Now(), .kind = obs::TraceKind::kTopology,
             .name = kKindNames[static_cast<std::size_t>(kind)],
             .node = node_id.value(),

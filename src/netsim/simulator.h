@@ -187,6 +187,7 @@ struct TopologyChange {
     kInterfaceState,  // interface up/down    (node + subnet valid)
     kNodeState,       // node up/down         (node valid; scope = its subnets)
     kAttach,          // new attachment added (node + subnet valid; up=true)
+    kInterfaceCost,   // interface cost changed (node + subnet valid)
   };
   Kind kind;
   std::uint64_t epoch = 0;  // topology_epoch() value after this change
@@ -342,6 +343,9 @@ class Simulator {
 
   void SetSubnetUp(SubnetId subnet, bool up);
   void SetInterfaceUp(NodeId node, VifIndex vif, bool up);
+  /// Sets the routing metric out of an interface; journaled (so routing
+  /// sees it) only when the value changes.
+  void SetInterfaceCost(NodeId node, VifIndex vif, double cost);
   /// A down node neither sends nor receives; its timers still fire but
   /// SendDatagram becomes a no-op (agents may also be swapped out).
   void SetNodeUp(NodeId node, bool up);
@@ -350,7 +354,8 @@ class Simulator {
   /// reordering, corruption); replaces any previous profile.
   void SetSubnetFaults(SubnetId subnet, const FaultProfile& faults);
 
-  /// Epoch counter bumped on every up/down change; routing watches this.
+  /// Epoch counter bumped on every up/down, attachment and cost change;
+  /// routing watches this.
   std::uint64_t topology_epoch() const { return topology_epoch_; }
 
   /// The scoped changes with epoch in (since, topology_epoch()], oldest

@@ -8,8 +8,10 @@
 // random graph) for the quantitative experiments.
 #pragma once
 
+#include <concepts>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -30,6 +32,18 @@ struct Topology {
   NodeId node(const std::string& name) const { return nodes.at(name); }
   SubnetId subnet(const std::string& name) const { return subnets.at(name); }
 };
+
+/// Generated node and subnet names: `prefix` then the indices joined by
+/// '_' ("R7", "R3_5"). Built by appending, so GCC 12 does not flag it
+/// with the false -Wrestrict warning `"R" + std::to_string(i)` draws.
+template <std::integral... Index>
+std::string IndexedName(std::string_view prefix, Index... indices) {
+  std::string name(prefix);
+  const char* separator = "";
+  ((name += separator, name += std::to_string(indices), separator = "_"),
+   ...);
+  return name;
+}
 
 /// Attaches a new host to `lan` and returns its id.
 NodeId AttachHost(Simulator& sim, Topology& topo, SubnetId lan,

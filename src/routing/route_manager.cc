@@ -1,9 +1,10 @@
 #include "routing/route_manager.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
-#include <queue>
+#include <functional>
 #include <tuple>
 
 namespace cbt::routing {
@@ -18,6 +19,20 @@ constexpr double kEps = 1e-9;
 constexpr double kWarmMargin = 1e-6;
 
 bool ApproxEqual(double a, double b) { return std::fabs(a - b) < kEps; }
+
+// Dijkstra's queue key: (dist, first_hop_addr, node) packed so that one
+// unsigned comparison orders keys as the tuple does. The distance's bits
+// are mapped to an unsigned order (sign bit set: flip all; clear: set the
+// sign bit), exact for every distance a path sum can produce (no NaN, no
+// -0.0, since sums start from +0.0). A min-heap of distinct keys pops in
+// one order only, so this pops as std::priority_queue over the tuple did.
+template <typename Key>
+Key HeapKeyOf(double dist, std::uint32_t first_hop_addr, std::int32_t node) {
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(dist);
+  bits = (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+  return (Key{bits} << 64) | (Key{first_hop_addr} << 32) |
+         Key{static_cast<std::uint32_t>(node)};
+}
 
 }  // namespace
 
@@ -78,16 +93,30 @@ void RouteManager::InvalidateAllTables() {
 
 void RouteManager::Invalidate() {
   tables_.clear();
+  adj_ = Adjacency{};
   ever_synced_ = false;
+}
+
+std::size_t RouteManager::TableBytes() const {
+  std::size_t bytes = 0;
+  for (const NodeRoutes& t : tables_) {
+    bytes += t.to_subnet.capacity() * sizeof(std::int32_t) +
+             t.to_node.capacity() * sizeof(Route) +
+             t.predecessor.capacity() * sizeof(NodeId) +
+             t.used_subnets.capacity() * sizeof(std::uint64_t);
+  }
+  return bytes;
 }
 
 void RouteManager::ApplyScopedChanges(
     std::span<const netsim::TopologyChange> changes) {
   using netsim::TopologyChange;
   for (const TopologyChange& c : changes) {
-    if (c.kind == TopologyChange::Kind::kAttach) {
-      // Attachments alter addressing and subnet membership wholesale;
-      // this is a construction-time event, precision isn't worth it.
+    if (c.kind == TopologyChange::Kind::kAttach ||
+        c.kind == TopologyChange::Kind::kInterfaceCost) {
+      // Attachments alter addressing and subnet membership wholesale, and
+      // costs change only while a topology is built; both are
+      // construction-time events, precision isn't worth it.
       InvalidateAllTables();
       return;
     }
@@ -150,7 +179,11 @@ void RouteManager::ApplyScopedChanges(
       std::sort(patch.begin(), patch.end(),
                 [](SubnetId a, SubnetId b) { return a.value() < b.value(); });
       patch.erase(std::unique(patch.begin(), patch.end()), patch.end());
-      for (const SubnetId s : patch) RecomputeSubnetTail(table, source, s);
+      const Adjacency& adj = Live();
+      for (const SubnetId s : patch) {
+        RecomputeSubnetTail(table, source, static_cast<std::size_t>(s.value()),
+                            adj);
+      }
     }
     ++stats_.tables_kept_warm;
   }
@@ -191,34 +224,37 @@ bool RouteManager::UpMayImprove(const NodeRoutes& table, NodeId source,
 }
 
 void RouteManager::RecomputeSubnetTail(NodeRoutes& table, NodeId source,
-                                       SubnetId sid) {
-  const auto si = static_cast<std::size_t>(sid.value());
-  Route& best = table.to_subnet[si];
-  best = Route{kInvalidVif, Ipv4Address{}, kInfinity, 0, 0};
+                                       std::size_t si, const Adjacency& adj) {
+  std::int32_t& entry = table.to_subnet[si];
+  entry = kUnreachable;
   // A table computed while its source was down is all-infinity and offers
   // no direct-delivery routes either; keep it that way.
   if (table.to_node[static_cast<std::size_t>(source.value())].cost ==
       kInfinity) {
     return;
   }
-  const netsim::SubnetRecord& s = sim_->subnet(sid);
-  if (!s.up) return;
-  for (const auto& [z, z_vif] : s.attachments) {
-    const netsim::Interface& zi = sim_->interface(z, z_vif);
-    if (!zi.up || !sim_->node(z).up) continue;
-    if (z == source) {
+  // Live attachments only; a down subnet has none.
+  double best_cost = kInfinity;
+  std::uint32_t best_hop = 0;
+  for (std::uint32_t a = adj.att_begin[si]; a < adj.att_begin[si + 1]; ++a) {
+    const Adjacency::Attachment& z = adj.attachments[a];
+    if (z.node == source.value()) {
       // Directly attached: cost 0, deliver straight onto the subnet.
-      best = Route{z_vif, Ipv4Address{}, 0.0, 0, s.delay};
-      break;
+      entry = DirectVia(z.vif);
+      return;
     }
     // Only routers forward from the subnet entry point onward.
-    if (!sim_->node(z).is_router) continue;
-    const Route& rz = table.to_node[static_cast<std::size_t>(z.value())];
+    if (!z.is_router) continue;
+    const Route& rz = table.to_node[static_cast<std::size_t>(z.node)];
     if (rz.cost == kInfinity) continue;
-    const bool better = rz.cost + kEps < best.cost ||
-                        (ApproxEqual(rz.cost, best.cost) &&
-                         rz.next_hop.bits() < best.next_hop.bits());
-    if (better) best = rz;
+    const bool better = rz.cost + kEps < best_cost ||
+                        (ApproxEqual(rz.cost, best_cost) &&
+                         rz.next_hop.bits() < best_hop);
+    if (better) {
+      entry = z.node;
+      best_cost = rz.cost;
+      best_hop = rz.next_hop.bits();
+    }
   }
 }
 
@@ -233,92 +269,139 @@ RouteManager::NodeRoutes& RouteManager::Freshen(NodeId source) {
   return table;
 }
 
+const RouteManager::Adjacency& RouteManager::Live() {
+  const std::size_t n = sim_->node_count();
+  const std::size_t subnets = sim_->subnet_count();
+  if (adj_.epoch == sim_->topology_epoch() &&
+      adj_.port_begin.size() == n + 1 &&
+      adj_.att_begin.size() == subnets + 1) {
+    return adj_;
+  }
+  adj_.att_begin.resize(subnets + 1);
+  adj_.attachments.clear();
+  for (std::size_t si = 0; si < subnets; ++si) {
+    adj_.att_begin[si] = static_cast<std::uint32_t>(adj_.attachments.size());
+    const netsim::SubnetRecord& s =
+        sim_->subnet(SubnetId(static_cast<std::int32_t>(si)));
+    if (!s.up) continue;
+    for (const auto& [z, z_vif] : s.attachments) {
+      const netsim::Interface& zi = sim_->interface(z, z_vif);
+      const netsim::NodeRecord& zn = sim_->node(z);
+      if (!zi.up || !zn.up) continue;
+      adj_.attachments.push_back(
+          Adjacency::Attachment{z.value(), z_vif, zi.address.bits(),
+                                zn.is_router});
+    }
+  }
+  adj_.att_begin[subnets] =
+      static_cast<std::uint32_t>(adj_.attachments.size());
+
+  adj_.port_begin.resize(n + 1);
+  adj_.is_router.resize(n);
+  adj_.ports.clear();
+  for (std::size_t u = 0; u < n; ++u) {
+    adj_.port_begin[u] = static_cast<std::uint32_t>(adj_.ports.size());
+    const netsim::NodeRecord& rec =
+        sim_->node(NodeId(static_cast<std::int32_t>(u)));
+    adj_.is_router[u] = rec.is_router ? 1 : 0;
+    if (!rec.up) continue;
+    for (const netsim::Interface& iface : rec.interfaces) {
+      if (!iface.up) continue;
+      const auto si = static_cast<std::size_t>(iface.subnet.value());
+      const netsim::SubnetRecord& s = sim_->subnet(iface.subnet);
+      if (!s.up) continue;
+      adj_.ports.push_back(Adjacency::Port{
+          iface.vif, iface.subnet.value(), iface.cost, s.delay,
+          adj_.att_begin[si], adj_.att_begin[si + 1]});
+    }
+  }
+  adj_.port_begin[n] = static_cast<std::uint32_t>(adj_.ports.size());
+  adj_.epoch = sim_->topology_epoch();
+  return adj_;
+}
+
 void RouteManager::ComputeFrom(NodeId source) {
   OBS_TRACE_VERBOSE(sim_->trace(), .time = sim_->Now(),
                     .kind = obs::TraceKind::kRouting, .name = "table-computed",
                     .node = source.value());
   const std::size_t n = sim_->node_count();
+  const std::size_t subnets = sim_->subnet_count();
   NodeRoutes& table = tables_[static_cast<std::size_t>(source.value())];
   table.to_node.assign(n, Route{kInvalidVif, Ipv4Address{}, kInfinity, 0, 0});
-  table.to_subnet.assign(sim_->subnet_count(),
-                         Route{kInvalidVif, Ipv4Address{}, kInfinity, 0, 0});
+  table.to_subnet.assign(subnets, kUnreachable);
   table.predecessor.assign(n, NodeId{});
-  table.used_subnets.assign((sim_->subnet_count() + 63) / 64, 0);
+  table.used_subnets.assign((subnets + 63) / 64, 0);
   table.valid = true;
   table.version = ++version_counter_;
   ++stats_.tables_computed;
 
   if (!sim_->node(source).up) return;
+  const Adjacency& adj = Live();
 
-  struct QueueEntry {
-    double dist;
-    std::uint32_t first_hop_addr;  // deterministic tie-break
-    std::int32_t node;
-    bool operator>(const QueueEntry& o) const {
-      return std::tie(dist, first_hop_addr, node) >
-             std::tie(o.dist, o.first_hop_addr, o.node);
-    }
+  const auto heap_push = [this](double dist, std::uint32_t first_hop_addr,
+                                std::int32_t node) {
+    heap_.push_back(HeapKeyOf<HeapKey>(dist, first_hop_addr, node));
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   };
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
-  std::vector<bool> done(n, false);
+  heap_.clear();
+  done_.assign(n, 0);
   // Subnet crossed by the chosen final edge into each node. The union over
   // settled nodes covers every subnet any chosen path traverses, because
   // each shortest-path-tree edge is the final edge into its head node.
-  std::vector<SubnetId> via_subnet(n, SubnetId{});
+  via_subnet_.assign(n, -1);
 
   table.to_node[static_cast<std::size_t>(source.value())] =
       Route{kInvalidVif, Ipv4Address{}, 0.0, 0, 0};
   table.predecessor[static_cast<std::size_t>(source.value())] = source;
-  pq.push(QueueEntry{0.0, 0, source.value()});
+  heap_push(0.0, 0, source.value());
 
-  while (!pq.empty()) {
-    const QueueEntry top = pq.top();
-    pq.pop();
-    const auto u_idx = static_cast<std::size_t>(top.node);
-    if (done[u_idx]) continue;
-    done[u_idx] = true;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const auto u = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(heap_.back()));
+    heap_.pop_back();
+    const auto u_idx = static_cast<std::size_t>(u);
+    if (done_[u_idx]) continue;
+    done_[u_idx] = 1;
 
-    const NodeId u(top.node);
-    const netsim::NodeRecord& u_rec = sim_->node(u);
-    // Hosts never transit traffic; only the source itself or routers expand.
-    if (u != source && !u_rec.is_router) continue;
-    if (!u_rec.up) continue;
+    // Hosts never transit traffic; only the source itself or routers
+    // expand. A down node has no ports.
+    const bool from_source = u == source.value();
+    if (!from_source && !adj.is_router[u_idx]) continue;
 
     const Route& u_route = table.to_node[u_idx];
 
-    for (const netsim::Interface& iface : u_rec.interfaces) {
-      if (!iface.up) continue;
-      const netsim::SubnetRecord& s = sim_->subnet(iface.subnet);
-      if (!s.up) continue;
-      for (const auto& [v, v_vif] : s.attachments) {
-        if (v == u) continue;
-        const netsim::Interface& in = sim_->interface(v, v_vif);
-        if (!in.up || !sim_->node(v).up) continue;
+    for (std::uint32_t p = adj.port_begin[u_idx]; p < adj.port_begin[u_idx + 1];
+         ++p) {
+      const Adjacency::Port& port = adj.ports[p];
+      const double cand_dist = u_route.cost + port.cost;
+      for (std::uint32_t a = port.att_begin; a < port.att_end; ++a) {
+        const Adjacency::Attachment& in = adj.attachments[a];
+        if (in.node == u) continue;
 
-        const double cand_dist = u_route.cost + iface.cost;
         Route cand;
         cand.cost = cand_dist;
         cand.hop_count = u_route.hop_count + 1;
-        cand.delay = u_route.delay + s.delay;
-        if (u == source) {
-          cand.vif = iface.vif;
-          cand.next_hop = in.address;
+        cand.delay = u_route.delay + port.delay;
+        if (from_source) {
+          cand.vif = port.vif;
+          cand.next_hop = Ipv4Address(in.address);
         } else {
           cand.vif = u_route.vif;
           cand.next_hop = u_route.next_hop;
         }
 
-        const auto v_idx = static_cast<std::size_t>(v.value());
+        const auto v_idx = static_cast<std::size_t>(in.node);
         Route& cur = table.to_node[v_idx];
         const bool better =
             cand_dist + kEps < cur.cost ||
             (ApproxEqual(cand_dist, cur.cost) &&
              cand.next_hop.bits() < cur.next_hop.bits());
-        if (!done[v_idx] && better) {
+        if (!done_[v_idx] && better) {
           cur = cand;
-          table.predecessor[v_idx] = u;
-          via_subnet[v_idx] = iface.subnet;
-          pq.push(QueueEntry{cand_dist, cand.next_hop.bits(), v.value()});
+          table.predecessor[v_idx] = NodeId(u);
+          via_subnet_[v_idx] = port.subnet;
+          heap_push(cand_dist, cand.next_hop.bits(), in.node);
         }
       }
     }
@@ -327,15 +410,14 @@ void RouteManager::ComputeFrom(NodeId source) {
   for (std::size_t v = 0; v < n; ++v) {
     if (v == static_cast<std::size_t>(source.value())) continue;
     if (table.to_node[v].cost == kInfinity) continue;
-    const auto si = static_cast<std::size_t>(via_subnet[v].value());
+    const auto si = static_cast<std::size_t>(via_subnet_[v]);
     table.used_subnets[si >> 6] |= std::uint64_t{1} << (si & 63);
   }
 
   // Best route per destination subnet: any live attachment point, closest
   // first, lowest first-hop address on ties.
-  for (std::size_t si = 0; si < sim_->subnet_count(); ++si) {
-    RecomputeSubnetTail(table, source,
-                        SubnetId(static_cast<std::int32_t>(si)));
+  for (std::size_t si = 0; si < subnets; ++si) {
+    RecomputeSubnetTail(table, source, si, adj);
   }
 }
 
@@ -442,8 +524,17 @@ std::optional<Route> RouteManager::Lookup(NodeId from, Ipv4Address dest) {
   }
 
   const NodeRoutes& table = Freshen(from);
-  Route route = table.to_subnet.at(static_cast<std::size_t>(subnet->value()));
-  if (route.cost == kInfinity) return std::nullopt;
+  const std::int32_t via =
+      table.to_subnet[static_cast<std::size_t>(subnet->value())];
+  Route route;
+  if (via >= 0) {
+    route = table.to_node[static_cast<std::size_t>(via)];
+  } else if (via == kUnreachable) {
+    return std::nullopt;
+  } else {
+    route = Route{kDirectBase - via, Ipv4Address{}, 0.0, 0,
+                  sim_->subnet(*subnet).delay};
+  }
   if (route.next_hop.IsUnspecified()) {
     // Directly attached: the link-level next hop is the destination itself.
     route.next_hop = dest;

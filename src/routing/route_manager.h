@@ -22,6 +22,24 @@
 // bit-for-bit identical to eager full recomputation — proven by the
 // routing differential suite — while a flap touching one region no
 // longer recomputes every router's table.
+//
+// Table layout: a source's table holds a full Route (32 B) per
+// destination *node*, a predecessor per node, a used-subnet bitset, and
+// only one 4-byte entry per destination *subnet*. That entry says how the
+// subnet's route derives from the rest: through the attachment router
+// whose node route wins (closest, lowest first hop on ties), directly
+// through one of the source's own vifs, or not at all. Lookup() builds
+// the Route from the entry; the warm-table patch rewrites just the entry.
+//
+// Live adjacency: every Dijkstra and every subnet entry is computed from
+// one snapshot of the live topology in compressed-row form — per node its
+// live ports (an up interface on an up subnet) in interface order, per
+// subnet its live attachments in attachment order — instead of chasing
+// the simulator's records. It is rebuilt on first use after the topology
+// epoch or the node/subnet count moves, and dropped by Invalidate(). The
+// walk visits edges in exactly the order the records did, so the result
+// is unchanged (tests/routing/route_differential_test.cc checks every
+// route against the record-walking reference).
 #pragma once
 
 #include <array>
@@ -120,6 +138,10 @@ class RouteManager {
   /// Forces recomputation on next query regardless of topology epoch.
   void Invalidate();
 
+  /// Bytes held by the per-source tables, counted by vector capacity
+  /// (scratch buffers and the live adjacency excluded).
+  std::size_t TableBytes() const;
+
   const Stats& stats() const { return stats_; }
   Stats& mutable_stats() { return stats_; }
   void ResetStats() { obs::ResetStats(stats_); }
@@ -128,8 +150,9 @@ class RouteManager {
 
  private:
   struct NodeRoutes {
-    // Indexed by subnet id: best route from this node to that subnet.
-    std::vector<Route> to_subnet;
+    // Indexed by subnet id: how the best route to that subnet derives
+    // (see the entry encoding below).
+    std::vector<std::int32_t> to_subnet;
     // Indexed by node id: best route/cost to that node's primary address.
     std::vector<Route> to_node;
     std::vector<NodeId> predecessor;  // for Path()
@@ -145,6 +168,42 @@ class RouteManager {
       return (i >> 6) < used_subnets.size() &&
              (used_subnets[i >> 6] >> (i & 63)) & 1u;
     }
+  };
+
+  // A to_subnet entry: a node id (>= 0) means "the to_node route of this
+  // attachment router"; kUnreachable means no route; anything below
+  // encodes a direct attachment through vif (kDirectBase - entry).
+  static constexpr std::int32_t kUnreachable = -1;
+  static constexpr std::int32_t kDirectBase = -2;
+  static constexpr std::int32_t DirectVia(VifIndex vif) {
+    return kDirectBase - vif;
+  }
+
+  /// Snapshot of the live topology at one epoch, in compressed-row form.
+  /// A port is an up interface of an up node on an up subnet; the live
+  /// attachments of a subnet are exactly its ports, so the edges out of a
+  /// port are the other attachments in its subnet's range.
+  struct Adjacency {
+    struct Port {
+      VifIndex vif;
+      std::int32_t subnet;
+      double cost;                      // the interface's outgoing cost
+      SimDuration delay;                // the subnet's delay
+      std::uint32_t att_begin, att_end;  // the subnet's live attachments
+    };
+    struct Attachment {
+      std::int32_t node;
+      VifIndex vif;
+      std::uint32_t address;  // the attached interface's address
+      bool is_router;
+    };
+    std::vector<std::uint32_t> port_begin;  // per node, plus an end sentinel
+    std::vector<Port> ports;
+    std::vector<std::uint32_t> att_begin;  // per subnet, plus an end sentinel
+    std::vector<Attachment> attachments;
+    std::vector<std::uint8_t> is_router;  // per node
+    // Topology epoch of the last build (none while port_begin is empty).
+    std::uint64_t epoch = 0;
   };
 
   /// Longest-prefix-match index: one bucket per distinct mask, longest
@@ -177,6 +236,9 @@ class RouteManager {
 
   void ComputeFrom(NodeId source);
 
+  /// The live adjacency at the current epoch, rebuilt if stale.
+  const Adjacency& Live();
+
   /// Applies one batch of scoped changes to every valid table: tables
   /// that provably cannot be affected are patched in place; the rest are
   /// invalidated.
@@ -188,7 +250,8 @@ class RouteManager {
 
   /// Recomputes table.to_subnet[s] from the (unchanged) to_node routes —
   /// the per-subnet tail of ComputeFrom, replayed for one subnet.
-  void RecomputeSubnetTail(NodeRoutes& table, NodeId source, SubnetId s);
+  static void RecomputeSubnetTail(NodeRoutes& table, NodeId source,
+                                  std::size_t s, const Adjacency& adj);
 
   void InvalidateAllTables();
 
@@ -209,6 +272,14 @@ class RouteManager {
   /// consumer's cached version can never alias across invalidations.
   std::uint64_t version_counter_ = 0;
   std::vector<NodeRoutes> tables_;  // indexed by node id
+  Adjacency adj_;
+  // ComputeFrom scratch, reused across sources. Heap entries pack
+  // (dist, first_hop_addr, node) into one integer key that orders exactly
+  // like the tuple (see HeapKeyOf in the .cc): branch-free comparisons.
+  __extension__ using HeapKey = unsigned __int128;
+  std::vector<HeapKey> heap_;
+  std::vector<std::uint8_t> done_;
+  std::vector<std::int32_t> via_subnet_;
   std::map<std::pair<NodeId, SubnetId>, Route> overrides_;
   LpmIndex lpm_;
   std::array<LpmCacheSlot, kLpmCacheSize> lpm_cache_{};

@@ -225,6 +225,27 @@ TEST_F(SimulatorTest, TopologyEpochBumpsOnEveryChange) {
   EXPECT_GE(sim.topology_epoch(), e1 + 3);
 }
 
+TEST_F(SimulatorTest, InterfaceCostChangesAreJournaled) {
+  const NodeId a = sim.AddNode("a", true);
+  const NodeId b = sim.AddNode("b", true);
+  const SubnetId link = sim.Connect(a, b, kMillisecond, 2.0);
+  EXPECT_EQ(sim.interface(a, 0).cost, 2.0);
+  EXPECT_EQ(sim.interface(b, 0).cost, 2.0);
+  const auto e0 = sim.topology_epoch();
+  sim.SetInterfaceCost(a, 0, 2.0);  // no-op: unchanged
+  EXPECT_EQ(sim.topology_epoch(), e0);
+  sim.SetInterfaceCost(a, 0, 7.0);
+  EXPECT_EQ(sim.interface(a, 0).cost, 7.0);
+  EXPECT_EQ(sim.topology_epoch(), e0 + 1);
+  const auto changes = sim.ChangesSince(e0);
+  ASSERT_TRUE(changes.has_value());
+  ASSERT_EQ(changes->size(), 1u);
+  EXPECT_EQ(changes->front().kind,
+            netsim::TopologyChange::Kind::kInterfaceCost);
+  EXPECT_EQ(changes->front().node, a);
+  EXPECT_EQ(changes->front().subnet, link);
+}
+
 TEST_F(SimulatorTest, BroadcastAddressReachesAllAttachments) {
   const SubnetId lan = sim.AddSubnet(
       "lan", SubnetAddress::FromPrefix(Ipv4Address(10, 1, 0, 0), 16));

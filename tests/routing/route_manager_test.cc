@@ -180,11 +180,10 @@ TEST(RouteManager, AsymmetricCostsProduceAsymmetricRoutes) {
   sim.Attach(a, lan_a);
   sim.Attach(b, lan_b);
   // Raise a's outgoing cost on the a-b link only.
-  for (auto& iface : sim.node(a).interfaces) {
-    if (iface.subnet == ab) iface.cost = 5.0;
+  for (const auto& iface : sim.node(a).interfaces) {
+    if (iface.subnet == ab) sim.SetInterfaceCost(a, iface.vif, 5.0);
   }
   RouteManager routes(sim);
-  routes.Invalidate();
 
   const auto a_to_b = routes.Lookup(a, Ipv4Address(10, 2, 0, 99));
   ASSERT_TRUE(a_to_b.has_value());
@@ -193,6 +192,63 @@ TEST(RouteManager, AsymmetricCostsProduceAsymmetricRoutes) {
   const auto b_to_a = routes.Lookup(b, Ipv4Address(10, 1, 0, 99));
   ASSERT_TRUE(b_to_a.has_value());
   EXPECT_EQ(sim.FindNodeByAddress(b_to_a->next_hop), a);
+}
+
+TEST(RouteManager, CostRaisedAfterWarmTablesReroutes) {
+  Simulator sim;
+  // Triangle a-b, a-c, c-b at unit cost: a reaches b's LAN directly.
+  const NodeId a = sim.AddNode("a", true);
+  const NodeId b = sim.AddNode("b", true);
+  const NodeId c = sim.AddNode("c", true);
+  const SubnetId ab = sim.Connect(a, b);
+  sim.Connect(a, c);
+  sim.Connect(c, b);
+  const SubnetId lan_b = sim.AddSubnet(
+      "lanB", SubnetAddress::FromPrefix(Ipv4Address(10, 2, 0, 0), 16));
+  sim.Attach(b, lan_b);
+  RouteManager routes(sim);
+  const Ipv4Address dest(10, 2, 0, 99);
+  const auto before = routes.Lookup(a, dest);
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(sim.FindNodeByAddress(before->next_hop), b);
+  EXPECT_DOUBLE_EQ(routes.Distance(a, b), 1.0);
+
+  // Every table is warm; now make a->b expensive. The change is
+  // journaled, so the warm table must not keep the stale route.
+  for (const auto& iface : sim.node(a).interfaces) {
+    if (iface.subnet == ab) sim.SetInterfaceCost(a, iface.vif, 5.0);
+  }
+  const auto after = routes.Lookup(a, dest);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(sim.FindNodeByAddress(after->next_hop), c);
+  EXPECT_DOUBLE_EQ(after->cost, 2.0);
+  EXPECT_DOUBLE_EQ(routes.Distance(a, b), 2.0);
+}
+
+// The perfbench grid (32x32 routers, 256 single-station LANs, one sender
+// host): every computed table must stay within 64 KB. A table holds a
+// Route per node but only a 4-byte entry per subnet (1,281 nodes and
+// 3,008 subnets here: 58.5 KB, where a Route per subnet took 142.7 KB).
+TEST(RouteManager, TableFootprintOnPerfbenchGrid) {
+  Simulator sim;
+  Topology topo = netsim::MakeGrid(sim, 32, 32);
+  for (std::size_t i = 0; i < 256; ++i) {
+    netsim::AttachHost(sim, topo, topo.router_lans[i],
+                       netsim::IndexedName("agg", i));
+  }
+  netsim::AttachHost(sim, topo, topo.router_lans.back(), "sender");
+  ASSERT_EQ(sim.node_count(), 1281u);
+  ASSERT_EQ(sim.subnet_count(), 3008u);
+
+  RouteManager routes(sim);
+  EXPECT_EQ(routes.TableBytes(), 0u);
+  constexpr std::size_t kTables = 4;
+  for (std::size_t i = 0; i < kTables; ++i) {
+    routes.Distance(topo.routers[i * 300], topo.routers.front());
+  }
+  ASSERT_EQ(routes.stats().tables_computed, kTables);
+  EXPECT_LE(routes.TableBytes(), kTables * 64 * 1024);
+  EXPECT_GE(routes.TableBytes(), kTables * 50 * 1024);  // counts something
 }
 
 }  // namespace
